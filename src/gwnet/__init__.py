@@ -17,10 +17,10 @@ from .linear_ot import InfeasibleMarginalsError, OtProblem, solve_linear_ot
 from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
                  distortion_tensor, gw_distance, gw_gradient,
                  northwest_corner, random_vertex, solve_gw)
-from .alignment import (AlignedPair, BlowupPlan, NotVertexCouplingError,
-                        aligned_distance, align, binarize, blow_up,
-                        expansion_coupling_source, expansion_coupling_target,
-                        support_size, to_vertex_coupling)
+from .alignment import (AlignedPair, BlowupPlan, aligned_distance, align,
+                        binarize, blow_up, expansion_coupling_source,
+                        expansion_coupling_target, support_size,
+                        to_vertex_coupling)
 from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
                         geodesic_aligned, geodesic_naive)
 from .tangent import (BaseMismatchError, GeodesicCertificate, TangentVector,
@@ -45,9 +45,9 @@ __all__ = [
     "FrechetResult", "GeodesicCertificate", "GeodesicRep", "GwParams",
     "GwnetError", "InfeasibleMarginalsError", "MeasureNetwork",
     "NegativeRadicandError", "NonFiniteEntryError", "NonProbabilityError",
-    "NonSquareError", "NotVertexCouplingError", "OtProblem",
-    "OutOfRangeError", "ParseError", "PcaResult", "SbmReport", "SbmRun",
-    "SbmSpec", "SolveReport", "TangentDataset", "TangentVector",
+    "NonSquareError", "OtProblem", "OutOfRangeError", "ParseError",
+    "PcaResult", "SbmReport", "SbmRun", "SbmSpec", "SolveReport",
+    "TangentDataset", "TangentVector",
     "aligned_distance", "align", "asymmetry_sweep", "binarize", "blow_up",
     "compress_log", "compressed_average", "default_sbm_spec",
     "distortion_matrix", "distortion_tensor", "evaluate", "exp_map",

@@ -24,10 +24,6 @@ from .linear_ot import OtProblem, solve_linear_ot
 SUPPORT_REL_THRESHOLD = 1e-9
 
 
-class NotVertexCouplingError(GwnetError):
-    pass
-
-
 def _support_mask(C: np.ndarray) -> np.ndarray:
     mask = C > SUPPORT_REL_THRESHOLD * C.max(initial=0.0)
     # a fully supported marginal guarantees mass in every row and column;
@@ -80,16 +76,6 @@ class BlowupPlan:
             raise GwnetError(
                 f"matrix shape {mat.shape} does not live on the {len(self.u)} "
                 "source nodes")
-        return mat[np.ix_(idx, idx)]
-
-    def expand_target(self, mat: np.ndarray) -> np.ndarray:
-        """Same replication but along the Y side."""
-        idx = np.array(self.target_index)
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (len(self.v), len(self.v)):
-            raise GwnetError(
-                f"matrix shape {mat.shape} does not live on the {len(self.v)} "
-                "target nodes")
         return mat[np.ix_(idx, idx)]
 
 

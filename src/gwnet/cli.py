@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import (GwnetError, MeasureNetwork, read_network,
+from .networks import (GwnetError, MeasureNetwork, ParseError, read_network,
                        write_network)
 from .gw import GwParams, solve_gw
 from .geodesics import evaluate, geodesic_aligned
@@ -26,16 +26,19 @@ from .experiments import (SbmSpec, asymmetry_sweep, default_sbm_spec,
                           support_size_sweep)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _parse_numbers(text: str, kind=float) -> list:
+    try:
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise ParseError(f"expected comma separated numbers, got {text!r}") \
+            from None
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    return np.array([_parse_floats(row) for row in text.split(";")])
+    rows = [_parse_numbers(row) for row in text.split(";")]
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError(f"matrix rows differ in length: {text!r}")
+    return np.array(rows)
 
 
 def _write_rows(rows: list[dict], path, fmt: str, headers: list[str]):
@@ -96,7 +99,7 @@ def _cmd_geodesic(args) -> int:
     rep = geodesic_aligned(X, Y, _gw_params(args))
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    ts = _parse_floats(args.ts)
+    ts = _parse_numbers(args.ts)
     files = []
     for t in ts:
         net = evaluate(rep, t)
@@ -120,15 +123,13 @@ def _frechet_params(args) -> FrechetParams:
     return FrechetParams(max_iters=args.max_iters,
                          compress=args.compress,
                          loss_tol=args.loss_tol,
-                         momentum=args.momentum,
                          gw=GwParams(restarts=args.restarts,
                                      rng_seed=args.seed))
 
 
 def _cmd_mean(args) -> int:
     nets = [net for _, net in _load_inputs(args.inputs)]
-    seed = read_network(args.seed_net) if args.seed_net else \
-        (args.seed_size if args.seed_size else None)
+    seed = read_network(args.seed_net) if args.seed_net else args.seed_size
     params = _frechet_params(args)
     result = frechet_mean(nets, params, seed=seed, seed_rng=args.seed)
     out = Path(args.out or "mean.json")
@@ -174,7 +175,7 @@ def _cmd_pca(args) -> int:
         fh.write("\n")
     if args.grid:
         for ci in range(result.num_components):
-            for s in _parse_floats(args.grid):
+            for s in _parse_numbers(args.grid):
                 net = project_along_component(result, ds.base, ci, s)
                 name = out.with_name(f"{out.stem}_c{ci}_s{s:+.3f}."
                                      f"{args.format}")
@@ -212,15 +213,15 @@ def _cmd_featurize(args) -> int:
 def _sbm_spec(args) -> SbmSpec:
     if args.means_file:
         with open(args.means_file, "r", encoding="utf-8") as fh:
-            means = np.array(json.load(fh), dtype=float)
+            try:
+                means = np.array(json.load(fh), dtype=float)
+            except ValueError as exc:
+                raise ParseError(f"{args.means_file}: {exc}") from None
     elif args.means:
         means = _parse_matrix(args.means)
     else:
-        base = default_sbm_spec(args.seed)
-        return SbmSpec(block_sizes=tuple(_parse_ints(args.block_sizes)),
-                       means=base.means, variance=args.variance,
-                       rng_seed=args.seed)
-    return SbmSpec(block_sizes=tuple(_parse_ints(args.block_sizes)),
+        means = default_sbm_spec(args.seed).means
+    return SbmSpec(block_sizes=tuple(_parse_numbers(args.block_sizes, int)),
                    means=means, variance=args.variance, rng_seed=args.seed)
 
 
@@ -233,6 +234,8 @@ def _cmd_sbm_gen(args) -> int:
 
 
 def _cmd_sbm_experiment(args) -> int:
+    if args.runs < 1:
+        raise GwnetError("--runs must be at least 1")
     report = sbm_compression_experiment(_sbm_spec(args), n_runs=args.runs,
                                         bound=args.bound, rng_seed=args.seed)
     rows = [{"seed": r.seed, "maxDeviation": r.max_deviation,
@@ -257,8 +260,8 @@ def _cmd_sbm_experiment(args) -> int:
 
 
 def _cmd_support_sweep(args) -> int:
-    rows = support_size_sweep(_parse_ints(args.sizes), args.trials,
-                              rng_seed=args.seed)
+    sizes = _parse_numbers(args.sizes, int)
+    rows = support_size_sweep(sizes, args.trials, rng_seed=args.seed)
     out = args.out or "support_sweep.csv"
     fmt = "csv" if args.format == "csv" or str(out).endswith(".csv") else "json"
     _write_rows(rows, out, fmt, ["n", "trial", "support_size", "ratio"])
@@ -272,10 +275,12 @@ def _cmd_support_sweep(args) -> int:
 
 
 def _cmd_asym_sweep(args) -> int:
-    sizes = _parse_ints(args.sizes)
+    sizes = _parse_numbers(args.sizes, int)
     if len(sizes) == 1:
         sizes = sizes * 2
-    rows = asymmetry_sweep(args.mode, _parse_floats(args.alphas),
+    if len(sizes) != 2:
+        raise ParseError(f"--sizes takes one or two sizes: {args.sizes!r}")
+    rows = asymmetry_sweep(args.mode, _parse_numbers(args.alphas),
                            args.n_seeds, sizes=(sizes[0], sizes[1]),
                            rng_seed=args.seed)
     out = args.out or "asym_sweep.csv"
@@ -334,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compress", choices=("none", "to_seed_size"),
                    default="none")
     p.add_argument("--loss-tol", type=float, default=1e-8)
-    p.add_argument("--momentum", type=float, default=0.0)
     p.set_defaults(func=_cmd_mean, max_iters=100)
 
     p = sub.add_parser("compress", parents=[common, solver],

@@ -177,6 +177,8 @@ def support_size_sweep(sizes, trials: int, rng_seed: int = 0,
     rows = []
     for n in sizes:
         n = int(n)
+        if n < 1:
+            raise GwnetError(f"sizes must be at least 1, got {n}")
         mu = np.full(n, 1.0 / n)
         for trial in range(int(trials)):
             X = MeasureNetwork(rng.standard_normal((n, n)), mu)
@@ -206,6 +208,8 @@ def asymmetry_sweep(mode: str, alphas, n_seeds: int,
         raise GwnetError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(rng_seed)
     n1, n2 = int(sizes[0]), int(sizes[1])
+    if min(n1, n2) < 1:
+        raise GwnetError(f"sizes must be at least 1, got {(n1, n2)}")
     X1 = rng.random((n1, n1))
     X2 = rng.random((n2, n2))
     rows = []

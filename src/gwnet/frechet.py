@@ -8,9 +8,9 @@ end everything lives on one common base. The gradient there is
     g = 2 (omega_base - mean_k omega_target_k)
 
 whose zero is the entrywise arithmetic mean of the aligned members. The
-mean iteration steps the base weights along -tau g, with full steps first
-(tau = 0.5 turns a two-member average into the midpoint construction) and
-Armijo backtracking afterwards.
+mean iteration steps the base weights along -tau g: FULL_STEPS full steps
+of TAU first, then Armijo backtracking from TAU. Every solve is
+warm-started from the member's coupling of the previous iteration.
 
 The compressed variants keep the base size fixed: the aligned difference
 is block-averaged over the copies of each base node before it is used,
@@ -18,63 +18,74 @@ which also yields fixed-size compressed representatives of large networks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .networks import Coupling, GwnetError, MeasureNetwork
 from .gw import GwParams, solve_gw
-from .alignment import blow_up, to_vertex_coupling
+from .alignment import align, aligned_distance, blow_up, to_vertex_coupling
 from .tangent import TangentVector
+
+
+# A step of TAU lands exactly on the entrywise mean of the aligned members
+# (for two members, the midpoint of their geodesic). The first FULL_STEPS
+# iterations take it; later ones backtrack from it by ARMIJO_BETA until the
+# loss falls by ARMIJO_SIGMA * tau * |g|^2.
+FULL_STEPS = 5
+TAU = 0.5
+ARMIJO_BETA = 0.5
+ARMIJO_SIGMA = 1e-4
 
 
 @dataclass(frozen=True)
 class FrechetParams:
     """Knobs for the mean iteration.
 
-    step_rule "full_then_armijo" takes `full_steps` steps of size
-    full_step_tau and then backtracks (beta, sigma) from full_step_tau;
-    "fixed" always uses full_step_tau. Convergence is declared when the
-    relative loss decrease stays below loss_tol for 3 consecutive
-    iterations. compress "to_seed_size" block-averages every log map down
-    to the seed size so the base never grows. momentum > 0 adds a heavy
-    ball term during the full-step phase (0.9 is the usual choice),
-    default off. Couplings are recomputed every iteration, warm-started
-    from the previous alignment unless warm_start is False.
+    Convergence is declared when the relative loss decrease stays below
+    loss_tol for 3 consecutive iterations, and the iteration stops after
+    max_iters steps in any case. compress "to_seed_size" block-averages
+    every log map down to the seed size so the base never grows. gw
+    configures every distance solve.
     """
 
     max_iters: int = 100
-    step_rule: str = "full_then_armijo"
-    full_steps: int = 5
-    full_step_tau: float = 0.5
-    armijo_beta: float = 0.5
-    armijo_sigma: float = 1e-4
     loss_tol: float = 1e-8
     compress: str = "none"
-    momentum: float = 0.0
-    warm_start: bool = True
     gw: GwParams = field(default_factory=GwParams)
 
     def __post_init__(self):
-        if self.step_rule not in ("full_then_armijo", "fixed"):
-            raise GwnetError(f"unknown step_rule {self.step_rule!r}")
         if self.compress not in ("none", "to_seed_size"):
             raise GwnetError(f"unknown compress {self.compress!r}")
-        if self.max_iters < 1 or self.full_step_tau <= 0 or self.loss_tol <= 0:
+        if self.max_iters < 1 or self.loss_tol <= 0:
             raise GwnetError("parameters must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise GwnetError("momentum must lie in [0, 1)")
+
+
+def _warm_params(gw_params: GwParams, start: np.ndarray | None,
+                 shape: tuple[int, int]) -> GwParams:
+    """gw_params started from `start` when it is a coupling of `shape`."""
+    if start is None or start.shape != shape:
+        return gw_params
+    # a concrete start replaces multi-start: restarts add nothing but cost
+    return replace(gw_params, init_coupling="given", given=start, restarts=0)
 
 
 def frechet_loss(S: list[MeasureNetwork], Z: MeasureNetwork,
-                 params: FrechetParams | None = None) -> float:
-    """Mean squared distance from Z to the members of S."""
+                 params: FrechetParams | None = None,
+                 warm: list | None = None) -> float:
+    """Mean squared distance from Z to the members of S.
+
+    warm, when given, holds per member a coupling from Z to start its solve
+    from (or None).
+    """
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
     total = 0.0
-    for Y in S:
-        _, report = solve_gw(Z, Y, params.gw)
+    for k, Y in enumerate(S):
+        start = warm[k] if warm is not None else None
+        gwp = _warm_params(params.gw, start, (Z.size, Y.size))
+        _, report = solve_gw(Z, Y, gwp)
         total += report.gw_distance ** 2
     return total / len(S)
 
@@ -86,33 +97,11 @@ def _lift_coupling(C: np.ndarray, source_index, mu_old, mu_new) -> np.ndarray:
     return C[idx, :] * (mu_new / mu_old[idx])[:, None]
 
 
-def _with_given(gw_params: GwParams, start: np.ndarray) -> GwParams:
-    # a concrete start replaces multi-start: restarts add nothing but cost
-    return GwParams(max_outer_iters=gw_params.max_outer_iters,
-                    objective_tol=gw_params.objective_tol,
-                    line_search=gw_params.line_search,
-                    init_coupling="given", given=start,
-                    restarts=0, rng_seed=gw_params.rng_seed)
-
-
-def _warm_loss(S: list[MeasureNetwork], Z: MeasureNetwork,
-               params: FrechetParams, warm: list | None) -> float:
-    """frechet_loss with per-member warm starts when available."""
-    total = 0.0
-    for k, Y in enumerate(S):
-        w = warm[k] if warm is not None and k < len(warm) else None
-        gwp = _with_given(params.gw, w) if w is not None else params.gw
-        _, report = solve_gw(Z, Y, gwp)
-        total += report.gw_distance ** 2
-    return total / len(S)
-
-
 @dataclass
 class _SequentialLog:
     base: MeasureNetwork          # common base after all alignments
     targets: list                 # aligned member weights on the final base
-    distortions: list             # per-member distortion at its coupling
-    lift: np.ndarray              # final base node -> seed node index
+    distances: list               # per-member distance its alignment certifies
     couplings: list               # per-member coupling from the final base
 
 
@@ -129,17 +118,10 @@ def sequential_log(X: MeasureNetwork, S: list[MeasureNetwork],
     targets: list[np.ndarray] = []
     couplings: list = [None] * len(S)
     warm_local: list = list(warm) if warm is not None else [None] * len(S)
-    distortions: list[float] = []
-    lift = np.arange(X.size)
+    distances: list[float] = []
     for k, Y in enumerate(S):
-        start = warm_local[k]
-        if start is not None and start.shape == (base.size, Y.size):
-            gwp = _with_given(gw_params, start)
-        else:
-            gwp = gw_params
-        coupling, _ = solve_gw(base, Y, gwp)
-        coupling = to_vertex_coupling(base, Y, coupling)
-        pair = blow_up(base, Y, coupling)
+        gwp = _warm_params(gw_params, warm_local[k], (base.size, Y.size))
+        pair, _, _ = align(base, Y, gwp)
         src = np.array(pair.plan.source_index)
         if pair.size != base.size:
             # an expansion happened: replicate everything collected so far,
@@ -154,18 +136,15 @@ def sequential_log(X: MeasureNetwork, S: list[MeasureNetwork],
                 if w is not None and w.shape[0] == base.size:
                     warm_local[j] = _lift_coupling(w, src, base.mu,
                                                    pair.mu_hat)
-            lift = lift[src]
         # the member's own coupling from the new base is the diagonal one
         mat = np.zeros((pair.size, Y.size))
         mat[np.arange(pair.size), np.array(pair.plan.target_index)] = pair.mu_hat
         couplings[k] = mat
         targets.append(pair.omega_yhat)
-        dis2 = float(pair.mu_hat @ ((pair.omega_xhat - pair.omega_yhat) ** 2)
-                     @ pair.mu_hat)
-        distortions.append(float(np.sqrt(max(dis2, 0.0))))
+        distances.append(aligned_distance(pair))
         base = pair.base_network()
-    return _SequentialLog(base=base, targets=targets, distortions=distortions,
-                          lift=lift, couplings=couplings)
+    return _SequentialLog(base=base, targets=targets, distances=distances,
+                          couplings=couplings)
 
 
 @dataclass(frozen=True)
@@ -174,7 +153,6 @@ class FrechetGradient:
     base: MeasureNetwork
     targets: tuple
     loss: float                   # mean squared distance at the current couplings
-    lift: np.ndarray
     couplings: tuple
 
 
@@ -190,25 +168,24 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
         raise GwnetError("empty collection")
     params = params or FrechetParams()
     if params.compress == "to_seed_size":
-        vs, distortions, couplings = [], [], []
+        vs, distances, couplings = [], [], []
         for k, Y in enumerate(S):
             start = warm[k] if warm is not None else None
-            v, dis, mat = _compress_log(X, Y, params.gw, warm=start)
+            v, d, mat = _compress_log(X, Y, params.gw, warm=start)
             vs.append(v)
-            distortions.append(dis)
+            distances.append(d)
             couplings.append(mat)
         g = -2.0 * np.mean(vs, axis=0)
-        loss = float(np.mean([(d / 2.0) ** 2 for d in distortions]))
+        loss = float(np.mean([d ** 2 for d in distances]))
         return FrechetGradient(gradient=TangentVector(X, g), base=X,
                                targets=tuple(X.omega + v for v in vs),
-                               loss=loss, lift=np.arange(X.size),
-                               couplings=tuple(couplings))
+                               loss=loss, couplings=tuple(couplings))
     seq = sequential_log(X, S, params.gw, warm=warm)
     g = 2.0 * (seq.base.omega - np.mean(seq.targets, axis=0))
-    loss = float(np.mean([(d / 2.0) ** 2 for d in seq.distortions]))
+    loss = float(np.mean([d ** 2 for d in seq.distances]))
     return FrechetGradient(gradient=TangentVector(seq.base, g), base=seq.base,
                            targets=tuple(seq.targets), loss=loss,
-                           lift=seq.lift, couplings=tuple(seq.couplings))
+                           couplings=tuple(seq.couplings))
 
 
 @dataclass(frozen=True)
@@ -227,6 +204,8 @@ def _resolve_seed(S, seed, rng_seed: int) -> MeasureNetwork:
     if seed is None:
         return S[0]
     k = int(seed)
+    if k < 1:
+        raise GwnetError(f"seed size must be at least 1, got {k}")
     rng = np.random.default_rng(rng_seed)
     return MeasureNetwork(rng.random((k, k)), np.full(k, 1.0 / k))
 
@@ -238,19 +217,17 @@ def frechet_mean(S: list[MeasureNetwork],
     """Iterative mean of a collection by tangent-space gradient descent.
 
     seed may be a network, an integer size (a seeded random network of that
-    size is used), or None for the first member. Full steps of 0.5 run
-    first; each full step lands exactly on the entrywise mean of the
-    currently aligned members. Armijo backtracking afterwards never
-    increases the loss. Returns the best iterate seen, with converged False
-    and max_iters_exceeded True when the loss never settled within
-    max_iters.
+    size is used), or None for the first member. FULL_STEPS full steps of
+    TAU run first; each lands exactly on the entrywise mean of the currently
+    aligned members. Armijo backtracking afterwards never increases the
+    loss. Returns the best iterate seen, with converged False and
+    max_iters_exceeded True when the loss never settled within max_iters.
     """
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
     X = _resolve_seed(S, seed, seed_rng)
     warm: list | None = None
-    prev_step: np.ndarray | None = None
     trace: list[tuple] = []
     best: tuple[float, MeasureNetwork] | None = None
     loss_prev: float | None = None
@@ -261,8 +238,7 @@ def frechet_mean(S: list[MeasureNetwork],
 
     for it in range(params.max_iters):
         iterations = it + 1
-        grad = frechet_gradient(S, X, params,
-                                warm=warm if params.warm_start else None)
+        grad = frechet_gradient(S, X, params, warm=warm)
         loss, base, g = grad.loss, grad.base, grad.gradient.f
         warm = list(grad.couplings)
         trace.append((it, loss, base.size))
@@ -277,39 +253,29 @@ def frechet_mean(S: list[MeasureNetwork],
                 break
         loss_prev = loss
 
-        if params.step_rule == "fixed" or it < params.full_steps:
-            tau = params.full_step_tau
-            step = -tau * g
-            if params.momentum > 0 and prev_step is not None \
-                    and prev_step.shape[0] == X.size:
-                step = step + params.momentum * \
-                    prev_step[np.ix_(grad.lift, grad.lift)]
-        else:
+        tau = TAU
+        if it >= FULL_STEPS:
             # pure gradient backtracking; sufficient decrease in the
             # weighted norm of g, never accepts an increase
             mu = base.mu
             gnorm2 = float(mu @ (g * g) @ mu)
-            tau = params.full_step_tau
             backtracks = 0
             while backtracks < 20 and \
-                    _warm_loss(S, base.with_omega(base.omega - tau * g),
-                               params, warm) > \
-                    loss - params.armijo_sigma * tau * gnorm2:
-                tau *= params.armijo_beta
+                    frechet_loss(S, base.with_omega(base.omega - tau * g),
+                                 params, warm) > \
+                    loss - ARMIJO_SIGMA * tau * gnorm2:
+                tau *= ARMIJO_BETA
                 backtracks += 1
             if backtracks >= 20:
                 # no step this small still decreases: stationary in practice
                 converged = True
                 break
-            step = -tau * g
-        X = base.with_omega(base.omega + step)
-        prev_step = step
+        X = base.with_omega(base.omega - tau * g)
         stepped = True
 
     if stepped:
         # the final step was never evaluated; record it
-        grad = frechet_gradient(S, X, params,
-                                warm=warm if params.warm_start else None)
+        grad = frechet_gradient(S, X, params, warm=warm)
         trace.append((iterations, grad.loss, grad.base.size))
         if grad.loss < best[0]:
             best = (grad.loss, grad.base)
@@ -323,9 +289,7 @@ def _compress_log(X: MeasureNetwork, Y: MeasureNetwork,
                   warm: np.ndarray | None = None
                   ) -> tuple[np.ndarray, float, np.ndarray]:
     if coupling is None:
-        gwp = gw_params
-        if warm is not None and warm.shape == (X.size, Y.size):
-            gwp = _with_given(gw_params, warm)
+        gwp = _warm_params(gw_params, warm, (X.size, Y.size))
         coupling, _ = solve_gw(X, Y, gwp)
     coupling = to_vertex_coupling(X, Y, coupling)
     pair = blow_up(X, Y, coupling)
@@ -336,8 +300,7 @@ def _compress_log(X: MeasureNetwork, Y: MeasureNetwork,
     P /= u[:, None]
     f = pair.omega_yhat - pair.omega_xhat
     v = P @ f @ P.T
-    dis2 = float(pair.mu_hat @ (f ** 2) @ pair.mu_hat)
-    return v, float(np.sqrt(max(dis2, 0.0))), coupling.matrix
+    return v, aligned_distance(pair), coupling.matrix
 
 
 def compress_log(X: MeasureNetwork, Y: MeasureNetwork,

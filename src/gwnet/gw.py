@@ -31,21 +31,24 @@ class NegativeRadicandError(GwnetError):
     pass
 
 
+# FW stops once an iteration lowers the objective by no more than this
+# fraction of its value
+OBJECTIVE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class GwParams:
     """Knobs for the outer solver.
 
-    line_search "exact_quadratic" minimizes the restricted quadratic in
-    closed form; "armijo" backtracks from a full step instead. init_coupling
-    is "product", "identity_block" (northwest-corner vertex in natural node
-    order, the diagonal when the marginals agree) or "given" with the start
-    supplied in `given`. restarts adds that many extra starts from seeded
-    random vertices; the best final objective wins.
+    Every iteration steps to the exact minimizer of the objective on the
+    segment toward the new vertex. init_coupling is "product",
+    "identity_block" (northwest-corner vertex in natural node order, the
+    diagonal when the marginals agree) or "given" with the start supplied
+    in `given`. restarts adds that many extra starts from seeded random
+    vertices; the best final objective wins.
     """
 
     max_outer_iters: int = 200
-    objective_tol: float = 1e-9
-    line_search: str = "exact_quadratic"
     init_coupling: str = "product"
     given: np.ndarray | None = None
     restarts: int = 0
@@ -54,14 +57,12 @@ class GwParams:
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise GwnetError("max_outer_iters must be at least 1")
-        if self.objective_tol <= 0:
-            raise GwnetError("objective_tol must be positive")
-        if self.line_search not in ("exact_quadratic", "armijo"):
-            raise GwnetError(f"unknown line_search {self.line_search!r}")
         if self.init_coupling not in ("product", "identity_block", "given"):
             raise GwnetError(f"unknown init_coupling {self.init_coupling!r}")
-        if self.init_coupling == "given" and self.given is None:
-            raise GwnetError("init_coupling 'given' needs the `given` matrix")
+        if (self.init_coupling == "given") != (self.given is not None):
+            raise GwnetError(
+                "the `given` matrix goes with init_coupling 'given' and "
+                "only with it")
         if self.restarts < 0:
             raise GwnetError("restarts must be nonnegative")
 
@@ -227,12 +228,7 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
             b = float(np.sum(G * D))
             # D has zero marginals, so <A D, D> has no marginal terms
             a = -2.0 * float(np.sum(D * (A @ D @ B.T)))
-            if params.line_search == "exact_quadratic":
-                t = _line_step(a, b)
-            else:
-                t = 1.0
-                while t > 1e-12 and objective(C + t * D) > J + 1e-4 * t * b:
-                    t *= 0.5
+            t = _line_step(a, b)
             if t <= 0.0:
                 converged = True
                 break
@@ -241,7 +237,7 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
             decrease = J - J_new
             J = J_new
             trace.append(J)
-            if decrease <= params.objective_tol * max(abs(J), 1e-16):
+            if decrease <= OBJECTIVE_TOL * max(abs(J), 1e-16):
                 converged = True
                 break
         if best is None or J < best[1]:

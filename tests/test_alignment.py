@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gwnet import (AlignedPair, Coupling, GwParams, GwnetError,
-                   MeasureNetwork, NotVertexCouplingError, align,
-                   aligned_distance, binarize, blow_up,
+                   MeasureNetwork, align, aligned_distance, binarize, blow_up,
                    expansion_coupling_source, expansion_coupling_target,
                    gw_distance, solve_gw, support_size, to_vertex_coupling)
 from gwnet.gw import _quadratic_value
@@ -136,8 +135,6 @@ def test_plan_expand_replays_the_replication(one_node, two_swap):
     pair = blow_up(one_node, two_swap, C)
     assert np.array_equal(pair.plan.expand(np.array([[7.0]])),
                           np.full((2, 2), 7.0))
-    assert np.array_equal(pair.plan.expand_target(two_swap.omega),
-                          two_swap.omega)
 
 
 def test_plan_expand_checks_shapes(one_node, two_swap):
@@ -145,8 +142,6 @@ def test_plan_expand_checks_shapes(one_node, two_swap):
                    Coupling(np.array([[0.5, 0.5]]), one_node.mu, two_swap.mu))
     with pytest.raises(GwnetError):
         pair.plan.expand(np.zeros((2, 2)))
-    with pytest.raises(GwnetError):
-        pair.plan.expand_target(np.zeros((3, 3)))
 
 
 def test_expansion_couplings_certify_zero_distance():
@@ -213,7 +208,3 @@ def test_align_accepts_a_precomputed_coupling(one_node, two_swap):
     assert report.iterations == 0
     assert report.gw_distance == pytest.approx(np.sqrt(0.5) / 2, abs=1e-15)
     assert pair.size == 2
-
-
-def test_not_vertex_coupling_error_is_a_library_error():
-    assert issubclass(NotVertexCouplingError, GwnetError)

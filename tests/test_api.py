@@ -1,0 +1,23 @@
+from dataclasses import fields
+
+import gwnet
+
+
+def test_every_public_name_resolves():
+    assert len(set(gwnet.__all__)) == len(gwnet.__all__)
+    for name in gwnet.__all__:
+        assert hasattr(gwnet, name), name
+
+
+def test_removed_names_stay_removed():
+    assert not hasattr(gwnet, "NotVertexCouplingError")
+    assert "NotVertexCouplingError" not in gwnet.__all__
+    assert not hasattr(gwnet.BlowupPlan, "expand_target")
+    assert "lift" not in [f.name for f in fields(gwnet.FrechetGradient)]
+
+
+def test_solver_and_mean_settings():
+    assert [f.name for f in fields(gwnet.GwParams)] == [
+        "max_outer_iters", "init_coupling", "given", "restarts", "rng_seed"]
+    assert [f.name for f in fields(gwnet.FrechetParams)] == [
+        "max_iters", "loss_tol", "compress", "gw"]

@@ -222,6 +222,28 @@ def test_asym_sweep_writes_csv(tmp_path):
 
 # ------------------------------------------------------------------ parser
 
+@pytest.mark.parametrize("argv", [
+    ["sbm-gen", "--means", "abc"],
+    ["sbm-gen", "--block-sizes", "2,2", "--means", "1,2;3"],
+    ["sbm-gen", "--block-sizes", "2,2", "--means-file", "{bad}"],
+    ["sbm-experiment", "--runs", "0", "--format", "csv"],
+    ["asym-sweep", "--sizes", "0"],
+    ["asym-sweep", "--sizes", "3,3,3"],
+    ["support-sweep", "--sizes", "0"],
+    ["mean", "{x}", "{y}", "--seed-size", "-2"],
+    ["mean", "{x}", "{y}", "--seed-size", "0"],
+])
+def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
+                                        capsys):
+    x, y = example_files
+    bad = tmp_path / "bad.json"
+    bad.write_text("[[1, 2], [3")
+    argv = [a.format(x=x, y=y, bad=bad) for a in argv]
+    argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

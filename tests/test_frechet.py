@@ -205,14 +205,11 @@ def test_compressed_mean_keeps_the_seed_size():
 
 # ------------------------------------------------------------------ params
 
-def test_params_are_validated():
-    with pytest.raises(GwnetError):
-        FrechetParams(step_rule="newton")
+def test_params_are_validated(two_swap):
     with pytest.raises(GwnetError):
         FrechetParams(compress="pca")
     with pytest.raises(GwnetError):
         FrechetParams(max_iters=0)
-    with pytest.raises(GwnetError):
-        FrechetParams(momentum=1.0)
-    with pytest.raises(GwnetError):
-        FrechetParams(momentum=-0.1)
+    for size in (0, -1):
+        with pytest.raises(GwnetError):
+            frechet_mean([two_swap], seed=size)
