@@ -75,11 +75,14 @@ def tangent_pca(ds: TangentDataset,
     Centers at the dataset mean row, eigendecomposes the k x k Gram matrix
     of centered rows, and lifts eigenvectors back to weighted-unit
     directions. Degenerate data (all rows equal) yields a result with no
-    components rather than an error.
+    components rather than an error. num_components caps how many are kept
+    (None keeps all, 0 none); a negative count raises GwnetError.
     """
     k = ds.count
     if k < 2:
         raise GwnetError("need at least 2 networks for principal components")
+    if num_components is not None and num_components < 0:
+        raise GwnetError(f"num_components must be >= 0, got {num_components}")
     mean = ds.vectors.mean(axis=0)
     centered = ds.vectors - mean
     gram = (centered * ds.weights) @ centered.T

@@ -2,10 +2,19 @@
 
 Solves min <cost, C> over couplings of (p, q) and returns a vertex of the
 polytope. Vertices matter: their support is a forest with at most n + m - 1
-entries, which is what the blow-up construction downstream relies on. The
-LP is solved with scipy's dual simplex (basic solutions, deterministic),
-then the flow values are recomputed exactly on the support forest so the
-marginals hold to machine precision rather than LP tolerance.
+entries, which is what the blow-up construction downstream relies on.
+
+Two paths, chosen by the input:
+
+- n == m and every entry of p and q the same number: the polytope is a
+  scaled Birkhoff polytope, whose vertices are the permutation matrices
+  times that mass (Birkhoff-von Neumann). The problem is then an assignment
+  problem, solved exactly by scipy's linear_sum_assignment. Its n entries
+  are the stored masses, so the marginals hold exactly.
+- every other shape: the LP is solved with scipy's dual simplex (basic
+  solutions, deterministic), then the flow values are recomputed exactly
+  on the support forest so the marginals hold to machine precision rather
+  than LP tolerance.
 """
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .networks import Coupling, GwnetError, PROB_TOL
 
@@ -142,7 +151,10 @@ def solve_linear_ot(prob: OtProblem) -> tuple[Coupling, float]:
     """Minimize <cost, C> over the transportation polytope of (p, q).
 
     Returns a vertex coupling (support at most n + m - 1 entries) and the
-    objective value at it, measured with the original cost matrix.
+    objective value at it, measured with the original cost matrix. Equal
+    sizes with all masses equal are solved as an assignment problem (the
+    vertices are scaled permutations, n entries of exactly p[0]); any other
+    shape goes through the dual simplex and the repair on its support.
     """
     cost, p, q = prob.cost, prob.p, prob.q
     n, m = cost.shape
@@ -151,6 +163,11 @@ def solve_linear_ot(prob: OtProblem) -> tuple[Coupling, float]:
         return Coupling(matrix, p, q), float(np.sum(cost * matrix))
     if m == 1:
         matrix = p[:, None].copy()
+        return Coupling(matrix, p, q), float(np.sum(cost * matrix))
+    if n == m and np.all(p == p[0]) and np.all(q == p[0]):
+        rows, cols = linear_sum_assignment(cost)
+        matrix = np.zeros((n, m))
+        matrix[rows, cols] = p
         return Coupling(matrix, p, q), float(np.sum(cost * matrix))
 
     scale = float(np.max(np.abs(cost)))

@@ -11,11 +11,13 @@ products are taken in L2 of the product measure mu x mu.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import GwnetError, MeasureNetwork
+from .networks import (GwnetError, MeasureNetwork, ParseError,
+                       network_from_dict)
 from .gw import GwParams
 from .alignment import AlignedPair, BlowupPlan, align
 
@@ -140,15 +142,22 @@ def tangent_to_dict(v: TangentVector) -> dict:
 
 
 def tangent_from_dict(d: dict) -> TangentVector:
-    base = MeasureNetwork(np.array(d["base"]["omega"], dtype=float),
-                          np.array(d["base"]["mu"], dtype=float))
-    plan = None
-    if "plan" in d:
-        p = d["plan"]
-        plan = BlowupPlan(source_index=tuple(p["source_index"]),
-                          target_index=tuple(p["target_index"]),
-                          u=tuple(p["u"]), v=tuple(p["v"]))
-    return TangentVector(base=base, f=np.array(d["f"], dtype=float), plan=plan)
+    """Inverse of tangent_to_dict. Raises ParseError on missing or
+    non-numeric fields."""
+    if not isinstance(d, dict) or "base" not in d or "f" not in d:
+        raise ParseError("tangent object needs 'base' and 'f' fields")
+    base = network_from_dict(d["base"])
+    try:
+        f = np.array(d["f"], dtype=float)
+        plan = None
+        if "plan" in d:
+            p = d["plan"]
+            plan = BlowupPlan(*(tuple(operator.index(k) for k in p[key])
+                                for key in ("source_index", "target_index",
+                                            "u", "v")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed tangent data: {exc!r}") from exc
+    return TangentVector(base=base, f=f, plan=plan)
 
 
 def write_tangent(v: TangentVector, path) -> None:
@@ -158,5 +167,11 @@ def write_tangent(v: TangentVector, path) -> None:
 
 
 def read_tangent(path) -> TangentVector:
+    """Read a vector written by write_tangent. Raises ParseError on bad content."""
     with open(path, "r", encoding="utf-8") as fh:
-        return tangent_from_dict(json.load(fh))
+        text = fh.read()
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid json: {exc}") from exc
+    return tangent_from_dict(d)

@@ -1,15 +1,17 @@
 """Independent reference implementations used only by the tests.
 
 Nothing here shares code with the package: the vertex enumeration walks
-spanning trees, the objective is the explicit four-index sum, gradients
-come from finite differences, and the PCA oracle is a dense decomposition
-in rescaled coordinates. Slow on purpose; keep sizes tiny.
+spanning trees, the larger transport oracle calls scipy's HiGHS directly,
+the objective is the explicit four-index sum, gradients come from finite
+differences, and the PCA oracle is a dense decomposition in rescaled
+coordinates. Slow on purpose; keep sizes tiny.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def _tree_flows(edges, p, q, n, m):
@@ -105,6 +107,22 @@ def brute_min_ot(cost, p, q) -> tuple[float, np.ndarray]:
         if best_val is None or val < best_val:
             best_val, best_mat = val, v
     return best_val, best_mat
+
+
+def highs_min_ot(cost, p, q) -> float:
+    """Transport optimum from scipy's HiGHS LP on the dense marginal
+    system: every row sum, and every column sum but the last, which mass
+    balance implies. The objective at HiGHS tolerance; for sizes the
+    vertex sweep cannot reach."""
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(m)),
+                      np.kron(np.ones(n), np.eye(m))[:-1]])
+    b_eq = np.concatenate([p, q[:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def gw_objective(X, Y, C) -> float:

@@ -104,6 +104,10 @@ def test_num_components_caps_the_output():
     ds = vectorize_at_base(A, nets, IDENTITY_GW)
     result = tangent_pca(ds, num_components=2)
     assert result.num_components == 2
+    assert tangent_pca(ds, num_components=0).components.shape == \
+        (0, ds.vectors.shape[1])
+    with pytest.raises(GwnetError):
+        tangent_pca(ds, num_components=-1)
 
 
 def test_pca_needs_at_least_two_networks():

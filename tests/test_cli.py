@@ -232,6 +232,7 @@ def test_asym_sweep_writes_csv(tmp_path):
     ["support-sweep", "--sizes", "0"],
     ["mean", "{x}", "{y}", "--seed-size", "-2"],
     ["mean", "{x}", "{y}", "--seed-size", "0"],
+    ["pca", "{x}", "{y}", "--components", "-1"],
 ])
 def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
                                         capsys):

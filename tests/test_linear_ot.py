@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from gwnet import InfeasibleMarginalsError, GwnetError, OtProblem, \
     solve_linear_ot
 from gwnet.linear_ot import _repair_on_forest
 
-from oracles import brute_min_ot
+from oracles import brute_min_ot, highs_min_ot
 
 
 def test_one_row_polytope_is_a_point():
@@ -44,6 +46,78 @@ def test_matches_vertex_sweep_on_random_problems():
         best, _ = brute_min_ot(cost, p, q)
         assert val == pytest.approx(best, abs=1e-10)
         assert (C.matrix > 1e-12).sum() <= n + m - 1
+
+
+def _check_assignment_vertex(C, p):
+    """A scaled permutation: n entries, each exactly the common mass."""
+    n = len(p)
+    support = C.matrix[C.matrix != 0]
+    assert len(support) == n
+    assert np.all(support == p[0])
+    assert np.abs(C.matrix.sum(axis=1) - p).max() == 0.0
+    assert np.abs(C.matrix.sum(axis=0) - p).max() == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_uniform_square_matches_vertex_sweep(n):
+    rng = np.random.default_rng(n)
+    p = np.full(n, 1.0 / n)
+    # integer costs in {0, 1, 2} make several permutations tie
+    costs = [rng.standard_normal((n, n)) for _ in range(4)] + \
+        [rng.integers(0, 3, (n, n)).astype(float) for _ in range(4)]
+    for cost in costs:
+        C, val = solve_linear_ot(OtProblem(cost, p, p))
+        best, _ = brute_min_ot(cost, p, p)
+        assert val == pytest.approx(best, abs=1e-12)
+        assert val == np.sum(cost * C.matrix)
+        _check_assignment_vertex(C, p)
+
+
+def test_uniform_square_matches_permutation_sweep_at_five():
+    # the spanning-tree sweep needs about 20 s at n = 5; the Birkhoff
+    # polytope's vertices are the 120 scaled permutations
+    n = 5
+    rng = np.random.default_rng(55)
+    p = np.full(n, 1.0 / n)
+    for cost in (rng.standard_normal((n, n)),
+                 rng.integers(0, 3, (n, n)).astype(float)):
+        C, val = solve_linear_ot(OtProblem(cost, p, p))
+        best = min(sum(cost[i, s[i]] for i in range(n)) / n
+                   for s in itertools.permutations(range(n)))
+        assert val == pytest.approx(best, abs=1e-12)
+        _check_assignment_vertex(C, p)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_uniform_square_matches_highs(n):
+    rng = np.random.default_rng(100 + n)
+    p = np.full(n, 1.0 / n)
+    for _ in range(3):
+        cost = rng.standard_normal((n, n))
+        C, val = solve_linear_ot(OtProblem(cost, p, p))
+        assert val == pytest.approx(highs_min_ot(cost, p, p), rel=1e-9)
+        _check_assignment_vertex(C, p)
+
+
+def test_nearly_uniform_square_takes_the_lp_path(monkeypatch):
+    def no_assignment(cost):
+        raise AssertionError("assignment path taken for non-uniform q")
+
+    monkeypatch.setattr("gwnet.linear_ot.linear_sum_assignment",
+                        no_assignment)
+    n = 6
+    rng = np.random.default_rng(9)
+    p = np.full(n, 1.0 / n)
+    q = p.copy()
+    q[0] = np.nextafter(np.nextafter(q[0], 1.0), 1.0)
+    q[1] = np.nextafter(np.nextafter(q[1], 0.0), 0.0)
+    cost = rng.standard_normal((n, n))
+    C, val = solve_linear_ot(OtProblem(cost, p, q))
+    assert (C.matrix > 1e-12).sum() <= 2 * n - 1
+    assert (C.matrix >= 0).all()
+    assert np.abs(C.matrix.sum(axis=1) - p).max() < 1e-15
+    assert np.abs(C.matrix.sum(axis=0) - q).max() < 1e-15
+    assert val == pytest.approx(highs_min_ot(cost, p, q), rel=1e-9)
 
 
 def test_marginals_exact_to_machine_precision():

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from gwnet import (BaseMismatchError, Coupling, GwParams, GwnetError,
-                   MeasureNetwork, TangentVector, aligned_distance,
+                   MeasureNetwork, ParseError, TangentVector, aligned_distance,
                    exp_map, expansion_coupling_target, geodesic_certificate,
                    gw_distance, injectivity_radius, inner_product, log_map,
                    norm, read_tangent, tangent_from_dict, tangent_to_dict,
@@ -174,3 +176,32 @@ def test_tangent_round_trip_without_plan(tmp_path, two_swap):
     back = read_tangent(path)
     assert back.plan is None
     assert np.array_equal(back.f, v.f)
+
+
+def test_read_tangent_rejects_malformed_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"base": {"omega": [[0.0]], "mu": [1.0]}, "f": [[0')
+    with pytest.raises(ParseError):
+        read_tangent(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("base"),
+    lambda d: d.pop("f"),
+    lambda d: d["base"].pop("mu"),
+    lambda d: d["plan"].pop("u"),
+    lambda d: d.__setitem__("f", [["a", "b", "c"]] * 3),
+    lambda d: d["base"].__setitem__("omega", "abc"),
+    lambda d: d["plan"].__setitem__("source_index", [0, "x", 1]),
+])
+def test_tangent_from_dict_rejects_missing_or_non_numeric_fields(
+        edit, tmp_path, one_node, two_swap):
+    v, _ = _one_node_log(one_node, two_swap)
+    d = tangent_to_dict(v)
+    edit(d)
+    with pytest.raises(ParseError):
+        tangent_from_dict(d)
+    path = tmp_path / "vector.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ParseError):
+        read_tangent(path)
