@@ -15,24 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import Coupling, GwnetError, MeasureNetwork, SolveReport
-from .gw import (GwParams, distortion_matrix, gw_gradient, solve_gw,
-                 _quadratic_value)
-from .linear_ot import OtProblem, solve_linear_ot
+from .gw import GwParams, distortion_matrix, solve_gw, _cross, _objective
+from .linear_ot import OtProblem, _support_mask, solve_linear_ot
 
 # entries below this fraction of the largest one are treated as zeros;
 # line searches leave dust that must not spawn spurious node copies
 SUPPORT_REL_THRESHOLD = 1e-9
-
-
-def _support_mask(C: np.ndarray) -> np.ndarray:
-    mask = C > SUPPORT_REL_THRESHOLD * C.max(initial=0.0)
-    # a fully supported marginal guarantees mass in every row and column;
-    # keep the largest entry if thresholding ever empties one
-    for i in np.flatnonzero(~mask.any(axis=1)):
-        mask[i, int(np.argmax(C[i]))] = True
-    for j in np.flatnonzero(~mask.any(axis=0)):
-        mask[int(np.argmax(C[:, j])), j] = True
-    return mask
 
 
 def binarize(C, threshold: float | None = None) -> np.ndarray:
@@ -116,7 +104,7 @@ def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
         raise GwnetError(
             f"coupling shape {mat.shape} does not match networks "
             f"({X.size}, {Y.size})")
-    mask = _support_mask(mat)
+    mask = _support_mask(mat, SUPPORT_REL_THRESHOLD * mat.max(initial=0.0))
     src, tgt = np.nonzero(mask)          # row-major, so ascending target per row
     masses = mat[src, tgt].astype(float)
     # exact mass preservation per source node
@@ -155,10 +143,11 @@ def to_vertex_coupling(X: MeasureNetwork, Y: MeasureNetwork,
     n, m = C.shape
     if support_size(C) <= n + m - 1:
         return C
-    G = gw_gradient(X, Y, C)
+    # the gradient as solve_gw sends it, without its marginal terms
+    G = -2.0 * _cross(X.omega, Y.omega, C.matrix)
     V, _ = solve_linear_ot(OtProblem(G, X.mu, Y.mu))
-    J_c = _quadratic_value(X.omega, Y.omega, C.matrix)
-    J_v = _quadratic_value(X.omega, Y.omega, V.matrix)
+    J_c = _objective(X, Y, C.matrix)[0]
+    J_v = _objective(X, Y, V.matrix)[0]
     if J_v <= J_c + 1e-9 * max(abs(J_c), 1.0):
         return V
     return C

@@ -40,7 +40,7 @@ class SbmSpec:
         B = len(sizes)
         if means.shape != (B, B):
             raise GwnetError(f"means must be {B}x{B}, got {means.shape}")
-        if self.variance < 0:
+        if not self.variance >= 0:
             raise GwnetError("variance must be nonnegative")
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "means", means)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .networks import Coupling, GwnetError, MeasureNetwork
 from .gw import GwParams, solve_gw
-from .alignment import align, aligned_distance, blow_up, to_vertex_coupling
+from .alignment import align, aligned_distance
 from .tangent import TangentVector
 
 
@@ -57,7 +57,7 @@ class FrechetParams:
     def __post_init__(self):
         if self.compress not in ("none", "to_seed_size"):
             raise GwnetError(f"unknown compress {self.compress!r}")
-        if self.max_iters < 1 or self.loss_tol <= 0:
+        if self.max_iters < 1 or not self.loss_tol > 0:
             raise GwnetError("parameters must be positive")
 
 
@@ -288,11 +288,8 @@ def _compress_log(X: MeasureNetwork, Y: MeasureNetwork,
                   gw_params: GwParams, coupling: Coupling | None = None,
                   warm: np.ndarray | None = None
                   ) -> tuple[np.ndarray, float, np.ndarray]:
-    if coupling is None:
-        gwp = _warm_params(gw_params, warm, (X.size, Y.size))
-        coupling, _ = solve_gw(X, Y, gwp)
-    coupling = to_vertex_coupling(X, Y, coupling)
-    pair = blow_up(X, Y, coupling)
+    gwp = _warm_params(gw_params, warm, (X.size, Y.size))
+    pair, coupling, _ = align(X, Y, gwp, coupling)
     src = np.array(pair.plan.source_index)
     u = np.array(pair.plan.u, dtype=float)
     P = np.zeros((X.size, pair.size))

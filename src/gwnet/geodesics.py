@@ -14,7 +14,9 @@ import numpy as np
 
 from .networks import Coupling, GwnetError, MeasureNetwork
 from .gw import GwParams
-from .alignment import AlignedPair, aligned_distance, align, _support_mask
+from .alignment import (SUPPORT_REL_THRESHOLD, AlignedPair, aligned_distance,
+                        align)
+from .linear_ot import _support_mask
 
 
 class OutOfRangeError(GwnetError):
@@ -67,7 +69,7 @@ def geodesic_naive(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling):
         raise GwnetError(
             f"coupling shape {mat.shape} does not match networks "
             f"({X.size}, {Y.size})")
-    mask = _support_mask(mat)
+    mask = _support_mask(mat, SUPPORT_REL_THRESHOLD * mat.max(initial=0.0))
     src, tgt = np.nonzero(mask)
     masses = mat[src, tgt].astype(float)
     masses /= masses.sum()

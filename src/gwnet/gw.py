@@ -13,8 +13,12 @@ reference, O(n^2 m^2)); everything else uses the equivalent matrix form
 which costs O(n^2 m + n m^2). The solver is Frank-Wolfe over the polytope:
 linearize at C, send the gradient to the exact transport subsolver, then
 take the exact minimizer of the 1-D quadratic along the segment toward the
-returned vertex. Weight matrices may be asymmetric, so the gradient is
-(A + A*) C with A* the adjoint of the coupling-to-coupling operator A.
+returned vertex V. Along D = V - C the objective is exactly
+J + <G, D> t + <G(D), D> t^2 / 2 and the gradient G + t G(D), with
+G(M) = -2 (X M Y^T + X^T M Y) (both terms, as weights may be asymmetric):
+the marginal terms of the full gradient are row and column constants on
+the polytope, so they move no LP argmin and vanish against D. One operator
+call per iteration thus gives both the step and the next gradient.
 """
 from __future__ import annotations
 
@@ -87,12 +91,19 @@ def distortion_tensor(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
     return float(np.sqrt(max(dis2, 0.0)))
 
 
-def _quadratic_value(X: np.ndarray, Y: np.ndarray, C: np.ndarray) -> float:
-    """<A C, C> evaluated in matrix form, valid for any C (marginals taken from C)."""
-    r = C.sum(axis=1)
-    c = C.sum(axis=0)
-    return float(r @ (X**2) @ r + c @ (Y**2) @ c
-                 - 2.0 * np.sum(C * (X @ C @ Y.T)))
+def _cross(A: np.ndarray, B: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """A M B^T + A^T M B, self-adjoint; -2 _cross(A, B, C) is the gradient
+    of -2 <C, A C B^T> at C."""
+    return A @ M @ B.T + A.T @ M @ B
+
+
+def _objective(X: MeasureNetwork, Y: MeasureNetwork,
+               C: np.ndarray) -> tuple[float, float]:
+    """Squared distortion of a coupling of (mu_X, mu_Y), and the constant
+    <p, X.^2 p> + <q, Y.^2 q> it is computed from."""
+    A, B, p, q = X.omega, Y.omega, X.mu, Y.mu
+    const = float(p @ (A**2) @ p + q @ (B**2) @ q)
+    return const - 2.0 * float(np.sum(C * (A @ C @ B.T))), const
 
 
 def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
@@ -104,9 +115,7 @@ def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
     """
     C = _as_matrix(C)
     _check_shapes(X, Y, C)
-    p, q = X.mu, Y.mu
-    const = float(p @ (X.omega**2) @ p + q @ (Y.omega**2) @ q)
-    dis2 = const - 2.0 * float(np.sum(C * (X.omega @ C @ Y.omega.T)))
+    dis2, const = _objective(X, Y, C)
     if dis2 < 0:
         if dis2 >= -1e-12 * max(1.0, const):
             dis2 = 0.0
@@ -115,29 +124,18 @@ def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
     return float(np.sqrt(dis2))
 
 
-def _apply(X: np.ndarray, Y: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """A C, the linearization of the squared distortion at C."""
-    r = C.sum(axis=1)
-    c = C.sum(axis=0)
-    return (X**2 @ r)[:, None] + (Y**2 @ c)[None, :] - 2.0 * X @ C @ Y.T
-
-
-def _apply_adjoint(X: np.ndarray, Y: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """A* D, so that <A C, D> = <C, A* D> for all C, D."""
-    r = D.sum(axis=1)
-    c = D.sum(axis=0)
-    return (X.T**2 @ r)[:, None] + (Y.T**2 @ c)[None, :] - 2.0 * X.T @ D @ Y
-
-
 def gw_gradient(X: MeasureNetwork, Y: MeasureNetwork, C) -> np.ndarray:
-    """Gradient of C -> <A C, C>, i.e. (A + A*) C.
-
-    For symmetric weight matrices this reduces to 2 A C; for asymmetric
-    ones the adjoint term differs and matters.
+    """Gradient of C -> dis(C)^2 at any n x m matrix C: with r, c its row
+    and column sums, (X.^2 + X^T.^2) r per row plus (Y.^2 + Y^T.^2) c per
+    column, minus 2 (X C Y^T + X^T C Y). solve_gw drops the marginal terms,
+    which are row and column constants on the coupling polytope.
     """
     C = _as_matrix(C)
     _check_shapes(X, Y, C)
-    return _apply(X.omega, Y.omega, C) + _apply_adjoint(X.omega, Y.omega, C)
+    A, B = X.omega, Y.omega
+    r, c = C.sum(axis=1), C.sum(axis=0)
+    return (((A**2 + A.T**2) @ r)[:, None] + ((B**2 + B.T**2) @ c)[None, :]
+            - 2.0 * _cross(A, B, C))
 
 
 def northwest_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -210,36 +208,36 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
     params = params or GwParams()
     A, B = X.omega, Y.omega
     p, q = X.mu, Y.mu
-    const = float(p @ (A**2) @ p + q @ (B**2) @ q)
-
-    def objective(C: np.ndarray) -> float:
-        return const - 2.0 * float(np.sum(C * (A @ C @ B.T)))
 
     best = None
     for C0 in _initial_couplings(X, Y, params):
         C = C0.copy()
-        J = objective(C)
+        J = _objective(X, Y, C)[0]
         trace = [J]
+        G = -2.0 * _cross(A, B, C)     # without the marginal terms
         converged = False
         for _ in range(params.max_outer_iters):
-            G = _apply(A, B, C) + _apply_adjoint(A, B, C)
             V, _ = solve_linear_ot(OtProblem(G, p, q))
             D = V.matrix - C
+            G_D = -2.0 * _cross(A, B, D)
+            # J(C + t D) = J + b t + a t^2 and G(C + t D) = G + t G_D
             b = float(np.sum(G * D))
-            # D has zero marginals, so <A D, D> has no marginal terms
-            a = -2.0 * float(np.sum(D * (A @ D @ B.T)))
+            a = 0.5 * float(np.sum(G_D * D))
             t = _line_step(a, b)
             if t <= 0.0:
                 converged = True
                 break
             C = C + t * D
-            J_new = objective(C)
-            decrease = J - J_new
-            J = J_new
+            G = G + t * G_D
+            decrease = -t * (b + a * t)
+            J -= decrease
             trace.append(J)
             if decrease <= OBJECTIVE_TOL * max(abs(J), 1e-16):
                 converged = True
                 break
+        # the updates above carry rounding; the reported value is exact
+        J = _objective(X, Y, C)[0]
+        trace[-1] = J
         if best is None or J < best[1]:
             best = (C, J, trace, converged)
 

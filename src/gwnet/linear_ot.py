@@ -56,6 +56,18 @@ class OtProblem:
         object.__setattr__(self, "q", q)
 
 
+def _support_mask(x: np.ndarray, threshold: float) -> np.ndarray:
+    """Entries of x above threshold. Marginals are positive, so every row
+    and column carries mass: one that thresholding empties keeps its
+    largest entry."""
+    mask = x > threshold
+    for i in np.flatnonzero(~mask.any(axis=1)):
+        mask[i, int(np.argmax(x[i]))] = True
+    for j in np.flatnonzero(~mask.any(axis=0)):
+        mask[int(np.argmax(x[:, j])), j] = True
+    return mask
+
+
 def _repair_on_forest(x: np.ndarray, p: np.ndarray,
                       q: np.ndarray) -> np.ndarray:
     """Recompute flows exactly from the marginals on the support of x.
@@ -68,14 +80,7 @@ def _repair_on_forest(x: np.ndarray, p: np.ndarray,
     time linear in the support size.
     """
     n, m = x.shape
-    scale = x.max(initial=0.0)
-    support = x > max(scale, 1.0) * 1e-12
-    # every row and column must keep at least one entry (marginals are positive)
-    for i in np.flatnonzero(~support.any(axis=1)):
-        support[i, int(np.argmax(x[i]))] = True
-    for j in np.flatnonzero(~support.any(axis=0)):
-        support[int(np.argmax(x[:, j])), j] = True
-
+    support = _support_mask(x, max(x.max(initial=0.0), 1.0) * 1e-12)
     ei, ej = np.nonzero(support)
     row_entries: list[set] = [set() for _ in range(n)]
     col_entries: list[set] = [set() for _ in range(m)]

@@ -199,7 +199,10 @@ def network_from_dict(d: dict) -> MeasureNetwork:
         mu = np.array(d["mu"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"non-numeric network data: {exc}") from exc
-    return MeasureNetwork(omega, mu, d.get("labels"))
+    labels = d.get("labels")
+    if not isinstance(labels, (list, type(None))):
+        raise ParseError(f"'labels' must be a list, got {labels!r}")
+    return MeasureNetwork(omega, mu, labels)
 
 
 def write_network(net: MeasureNetwork, path, format: str | None = None) -> None:

@@ -5,9 +5,8 @@ from gwnet import (AlignedPair, Coupling, GwParams, GwnetError,
                    MeasureNetwork, align, aligned_distance, binarize, blow_up,
                    expansion_coupling_source, expansion_coupling_target,
                    gw_distance, solve_gw, support_size, to_vertex_coupling)
-from gwnet.gw import _quadratic_value
-
 from conftest import random_network
+from oracles import gw_objective
 
 
 # -------------------------------------------------------------- binarize
@@ -178,8 +177,8 @@ def test_to_vertex_coupling_thins_the_product_coupling(two_swap):
     C = Coupling(np.outer(X.mu, Y.mu), X.mu, Y.mu)
     V = to_vertex_coupling(X, Y, C)
     assert support_size(V) <= 3
-    J_c = _quadratic_value(X.omega, Y.omega, C.matrix)
-    J_v = _quadratic_value(X.omega, Y.omega, V.matrix)
+    J_c = gw_objective(X.omega, Y.omega, C.matrix)
+    J_v = gw_objective(X.omega, Y.omega, V.matrix)
     assert J_v <= J_c + 1e-9 * max(abs(J_c), 1.0)
 
 

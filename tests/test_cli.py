@@ -233,6 +233,8 @@ def test_asym_sweep_writes_csv(tmp_path):
     ["mean", "{x}", "{y}", "--seed-size", "-2"],
     ["mean", "{x}", "{y}", "--seed-size", "0"],
     ["pca", "{x}", "{y}", "--components", "-1"],
+    ["mean", "{x}", "{y}", "--loss-tol", "nan"],
+    ["sbm-gen", "--variance", "nan"],
 ])
 def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
                                         capsys):
@@ -242,6 +244,18 @@ def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
     argv = [a.format(x=x, y=y, bad=bad) for a in argv]
     argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", [5, "ab"])
+def test_non_list_labels_fail_cleanly(labels, example_files, tmp_path,
+                                      capsys):
+    x, _ = example_files
+    bad = tmp_path / "labels.json"
+    bad.write_text(json.dumps({"omega": [[0.0, 1.0], [1.0, 0.0]],
+                               "mu": [0.5, 0.5], "labels": labels}))
+    assert main(["distance", str(x), str(bad),
+                 "--out", str(tmp_path / "out")]) == 1
     assert "error" in capsys.readouterr().err
 
 

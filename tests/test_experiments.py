@@ -19,6 +19,8 @@ def test_spec_validation():
         SbmSpec(block_sizes=(2, 2), means=np.zeros((3, 3)))
     with pytest.raises(GwnetError):
         SbmSpec(block_sizes=(2,), means=[[1.0]], variance=-1.0)
+    with pytest.raises(GwnetError):
+        SbmSpec(block_sizes=(2,), means=[[1.0]], variance=float("nan"))
 
 
 def test_default_spec_shape_and_values():

@@ -210,6 +210,9 @@ def test_params_are_validated(two_swap):
         FrechetParams(compress="pca")
     with pytest.raises(GwnetError):
         FrechetParams(max_iters=0)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(GwnetError):
+            FrechetParams(loss_tol=tol)
     for size in (0, -1):
         with pytest.raises(GwnetError):
             frechet_mean([two_swap], seed=size)

@@ -4,7 +4,7 @@ import pytest
 from gwnet import (Coupling, GwParams, GwnetError, MeasureNetwork,
                    distortion_matrix, distortion_tensor, gw_distance,
                    gw_gradient, northwest_corner, random_vertex, solve_gw)
-from gwnet.gw import _apply, _apply_adjoint, _line_step
+from gwnet.gw import _cross, _line_step
 
 from conftest import psd_network, random_network
 from oracles import brute_min_gw, fd_gradient, gw_objective
@@ -89,7 +89,10 @@ def test_gradient_symmetric_equals_twice_operator():
     Y = random_network(rng, 3, asym=False)
     C = np.outer(X.mu, Y.mu)
     g = gw_gradient(X, Y, C)
-    assert np.allclose(g, 2 * _apply(X.omega, Y.omega, C), atol=1e-12)
+    # symmetric weights: twice (X.^2 p)_i + (Y.^2 q)_j - 2 (X C Y)_ij
+    A, B = X.omega, Y.omega
+    once = (A**2 @ X.mu)[:, None] + (B**2 @ Y.mu)[None, :] - 2 * A @ C @ B
+    assert np.allclose(g, 2 * once, atol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
@@ -115,8 +118,9 @@ def test_operator_adjoint_pairing():
     Y = rng.standard_normal((3, 3))
     C = rng.random((4, 3))
     D = rng.random((4, 3))
-    lhs = np.sum(_apply(X, Y, C) * D)
-    rhs = np.sum(C * _apply_adjoint(X, Y, D))
+    # the operator is self-adjoint: <cross(C), D> = <C, cross(D)>
+    lhs = np.sum(_cross(X, Y, C) * D)
+    rhs = np.sum(C * _cross(X, Y, D))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -183,6 +187,28 @@ def test_solver_trace_non_increasing():
     _, report = solve_gw(X, Y)
     trace = np.array(report.objective_trace)
     assert (np.diff(trace) <= 1e-12).all()
+
+
+def test_reported_cost_is_the_exact_objective_at_the_coupling():
+    # the solver updates J and G along each step instead of recomputing
+    # them; the reported cost must still be the objective at the returned
+    # coupling, and the trace must still never rise
+    rng = np.random.default_rng(18)
+    for trial in range(24):
+        n, m = rng.integers(2, 9, size=2)
+        X = random_network(rng, n, uniform_mu=False)
+        Y = random_network(rng, m, uniform_mu=False)
+        C, report = solve_gw(X, Y, GwParams(max_outer_iters=50,
+                                            restarts=2 * (trial % 2),
+                                            rng_seed=trial))
+        const = float(X.mu @ X.omega ** 2 @ X.mu + Y.mu @ Y.omega ** 2 @ Y.mu)
+        tol = 1e-12 * (1 + const)
+        exact = gw_objective(X.omega, Y.omega, C.matrix)
+        assert abs(report.cost ** 2 - exact) <= tol
+        assert report.cost == distortion_matrix(X, Y, C)
+        assert report.objective_trace[-1] == pytest.approx(report.cost ** 2,
+                                                           abs=tol)
+        assert (np.diff(report.objective_trace) <= tol).all()
 
 
 def test_solver_deterministic_under_seed():

@@ -110,6 +110,16 @@ def test_labels_round_trip(tmp_path):
     assert tuple(read_network(path).labels) == ("a", "b")
 
 
+def test_labels_must_be_a_list_or_null():
+    d = {"omega": [[0.0, 1.0], [1.0, 0.0]], "mu": [0.5, 0.5]}
+    assert network_from_dict({**d, "labels": None}).labels is None
+    assert network_from_dict(d).labels is None
+    # a string would otherwise be split into one label per character
+    for bad in (5, "ab", {"a": 1}):
+        with pytest.raises(ParseError):
+            network_from_dict({**d, "labels": bad})
+
+
 def test_format_inference_and_override(tmp_path, two_swap):
     path = tmp_path / "n.txt"
     write_network(two_swap, path, format="csv")
