@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import GwnetError, MeasureNetwork
+from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams, solve_gw
 from .alignment import support_size, to_vertex_coupling
 from .frechet import (FrechetParams, compressed_average, frechet_mean)
@@ -33,9 +33,10 @@ class SbmSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise GwnetError("block_sizes must be positive integers")
+        sizes = tuple(check_count(s, "block size", 1)
+                      for s in self.block_sizes)
+        if not sizes:
+            raise GwnetError("block_sizes must not be empty")
         means = np.asarray(self.means, dtype=float)
         B = len(sizes)
         if means.shape != (B, B):

@@ -8,9 +8,9 @@ end everything lives on one common base. The gradient there is
     g = 2 (omega_base - mean_k omega_target_k)
 
 whose zero is the entrywise arithmetic mean of the aligned members. The
-mean iteration steps the base weights along -tau g: FULL_STEPS full steps
-of TAU first, then Armijo backtracking from TAU. Every solve is
-warm-started from the member's coupling of the previous iteration.
+mean iteration steps the base weights by -TAU g, which lands exactly on
+that mean, and stops once the step would no longer move the base. Every
+solve is warm-started from the member's coupling of the previous iteration.
 
 The compressed variants keep the base size fixed: the aligned difference
 is block-averaged over the copies of each base node before it is used,
@@ -22,31 +22,28 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .networks import Coupling, GwnetError, MeasureNetwork
+from .networks import Coupling, GwnetError, MeasureNetwork, check_count
 from .gw import GwParams, solve_gw
 from .alignment import align, aligned_distance
 from .tangent import TangentVector
 
 
 # A step of TAU lands exactly on the entrywise mean of the aligned members
-# (for two members, the midpoint of their geodesic). The first FULL_STEPS
-# iterations take it; later ones backtrack from it by ARMIJO_BETA until the
-# loss falls by ARMIJO_SIGMA * tau * |g|^2.
-FULL_STEPS = 5
+# (for two members, the midpoint of their geodesic), the minimizer of the
+# loss while the alignments stay fixed.
 TAU = 0.5
-ARMIJO_BETA = 0.5
-ARMIJO_SIGMA = 1e-4
 
 
 @dataclass(frozen=True)
 class FrechetParams:
     """Knobs for the mean iteration.
 
-    Convergence is declared when the relative loss decrease stays below
-    loss_tol for 3 consecutive iterations, and the iteration stops after
-    max_iters steps in any case. compress "to_seed_size" block-averages
-    every log map down to the seed size so the base never grows. gw
-    configures every distance solve.
+    Convergence is declared at the first iterate whose weighted squared
+    gradient is at most loss_tol times its loss, or when the relative loss
+    decrease stays below loss_tol for 3 consecutive iterations; the
+    iteration stops after max_iters steps in any case. compress
+    "to_seed_size" block-averages every log map down to the seed size so
+    the base never grows. gw configures every distance solve.
     """
 
     max_iters: int = 100
@@ -57,8 +54,9 @@ class FrechetParams:
     def __post_init__(self):
         if self.compress not in ("none", "to_seed_size"):
             raise GwnetError(f"unknown compress {self.compress!r}")
-        if self.max_iters < 1 or not self.loss_tol > 0:
-            raise GwnetError("parameters must be positive")
+        check_count(self.max_iters, "max_iters", 1)
+        if not self.loss_tol > 0:
+            raise GwnetError("loss_tol must be positive")
 
 
 def _warm_params(gw_params: GwParams, start: np.ndarray | None,
@@ -71,21 +69,14 @@ def _warm_params(gw_params: GwParams, start: np.ndarray | None,
 
 
 def frechet_loss(S: list[MeasureNetwork], Z: MeasureNetwork,
-                 params: FrechetParams | None = None,
-                 warm: list | None = None) -> float:
-    """Mean squared distance from Z to the members of S.
-
-    warm, when given, holds per member a coupling from Z to start its solve
-    from (or None).
-    """
+                 params: FrechetParams | None = None) -> float:
+    """Mean squared distance from Z to the members of S."""
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
     total = 0.0
-    for k, Y in enumerate(S):
-        start = warm[k] if warm is not None else None
-        gwp = _warm_params(params.gw, start, (Z.size, Y.size))
-        _, report = solve_gw(Z, Y, gwp)
+    for Y in S:
+        _, report = solve_gw(Z, Y, params.gw)
         total += report.gw_distance ** 2
     return total / len(S)
 
@@ -110,32 +101,27 @@ def sequential_log(X: MeasureNetwork, S: list[MeasureNetwork],
                    warm: list | None = None) -> _SequentialLog:
     """Log-map every member of S onto a base that starts at X and grows.
 
-    Earlier members' aligned weights (and any warm-start couplings) are
-    replicated onto each expansion so the result is one common base plus
-    one aligned weight matrix per member.
+    Earlier members' aligned weights are replicated onto each expansion so
+    the result is one common base plus one aligned weight matrix per
+    member. couplings starts as the warm starts and ends as each member's
+    coupling from the final base.
     """
     base = X
     targets: list[np.ndarray] = []
-    couplings: list = [None] * len(S)
-    warm_local: list = list(warm) if warm is not None else [None] * len(S)
+    couplings: list = list(warm) if warm is not None else [None] * len(S)
     distances: list[float] = []
     for k, Y in enumerate(S):
-        gwp = _warm_params(gw_params, warm_local[k], (base.size, Y.size))
+        gwp = _warm_params(gw_params, couplings[k], (base.size, Y.size))
         pair, _, _ = align(base, Y, gwp)
         src = np.array(pair.plan.source_index)
         if pair.size != base.size:
             # an expansion happened: replicate everything collected so far,
-            # including warm starts for members not yet processed
+            # the couplings of earlier members and the warm starts of later
             targets = [T[np.ix_(src, src)] for T in targets]
-            for i in range(k):
-                if couplings[i] is not None:
-                    couplings[i] = _lift_coupling(couplings[i], src,
-                                                  base.mu, pair.mu_hat)
-            for j in range(k + 1, len(S)):
-                w = warm_local[j]
-                if w is not None and w.shape[0] == base.size:
-                    warm_local[j] = _lift_coupling(w, src, base.mu,
-                                                   pair.mu_hat)
+            couplings = [
+                _lift_coupling(C, src, base.mu, pair.mu_hat)
+                if j != k and C is not None and C.shape[0] == base.size
+                else C for j, C in enumerate(couplings)]
         # the member's own coupling from the new base is the diagonal one
         mat = np.zeros((pair.size, Y.size))
         mat[np.arange(pair.size), np.array(pair.plan.target_index)] = pair.mu_hat
@@ -217,11 +203,14 @@ def frechet_mean(S: list[MeasureNetwork],
     """Iterative mean of a collection by tangent-space gradient descent.
 
     seed may be a network, an integer size (a seeded random network of that
-    size is used), or None for the first member. FULL_STEPS full steps of
-    TAU run first; each lands exactly on the entrywise mean of the currently
-    aligned members. Armijo backtracking afterwards never increases the
-    loss. Returns the best iterate seen, with converged False and
-    max_iters_exceeded True when the loss never settled within max_iters.
+    size is used), or None for the first member. Every step of TAU lands
+    exactly on the entrywise mean of the currently aligned members. The
+    iteration converges at the first iterate with |g|^2_mu <= loss_tol *
+    loss, where that step would not move the base (for an uncompressed
+    mean it would lower the loss by exactly |g|^2_mu / 16), or once the
+    loss has settled for 3 iterations. Returns the best iterate seen, with
+    converged False and max_iters_exceeded True when neither happened
+    within max_iters.
     """
     if not S:
         raise GwnetError("empty collection")
@@ -234,7 +223,6 @@ def frechet_mean(S: list[MeasureNetwork],
     settled = 0
     converged = False
     iterations = 0
-    stepped = False
 
     for it in range(params.max_iters):
         iterations = it + 1
@@ -242,9 +230,12 @@ def frechet_mean(S: list[MeasureNetwork],
         loss, base, g = grad.loss, grad.base, grad.gradient.f
         warm = list(grad.couplings)
         trace.append((it, loss, base.size))
-        stepped = False
         if best is None or loss < best[0]:
             best = (loss, base)
+        if float(base.mu @ (g * g) @ base.mu) <= params.loss_tol * loss:
+            # the full step would not move the base: stationary
+            converged = True
+            break
         if loss_prev is not None:
             rel = (loss_prev - loss) / max(abs(loss_prev), 1e-16)
             settled = settled + 1 if rel < params.loss_tol else 0
@@ -252,29 +243,9 @@ def frechet_mean(S: list[MeasureNetwork],
                 converged = True
                 break
         loss_prev = loss
-
-        tau = TAU
-        if it >= FULL_STEPS:
-            # pure gradient backtracking; sufficient decrease in the
-            # weighted norm of g, never accepts an increase
-            mu = base.mu
-            gnorm2 = float(mu @ (g * g) @ mu)
-            backtracks = 0
-            while backtracks < 20 and \
-                    frechet_loss(S, base.with_omega(base.omega - tau * g),
-                                 params, warm) > \
-                    loss - ARMIJO_SIGMA * tau * gnorm2:
-                tau *= ARMIJO_BETA
-                backtracks += 1
-            if backtracks >= 20:
-                # no step this small still decreases: stationary in practice
-                converged = True
-                break
-        X = base.with_omega(base.omega - tau * g)
-        stepped = True
-
-    if stepped:
-        # the final step was never evaluated; record it
+        X = base.with_omega(base.omega - TAU * g)
+    else:
+        # max_iters steps taken; the final one was never evaluated
         grad = frechet_gradient(S, X, params, warm=warm)
         trace.append((iterations, grad.loss, grad.base.size))
         if grad.loss < best[0]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import (Coupling, DimensionMismatchError, GwnetError,
-                       MeasureNetwork, SolveReport)
+                       MeasureNetwork, SolveReport, check_count)
 from .linear_ot import OtProblem, solve_linear_ot
 
 
@@ -59,16 +59,14 @@ class GwParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise GwnetError("max_outer_iters must be at least 1")
+        check_count(self.max_outer_iters, "max_outer_iters", 1)
         if self.init_coupling not in ("product", "identity_block", "given"):
             raise GwnetError(f"unknown init_coupling {self.init_coupling!r}")
         if (self.init_coupling == "given") != (self.given is not None):
             raise GwnetError(
                 "the `given` matrix goes with init_coupling 'given' and "
                 "only with it")
-        if self.restarts < 0:
-            raise GwnetError("restarts must be nonnegative")
+        check_count(self.restarts, "restarts", 0)
 
 
 def _check_shapes(X: MeasureNetwork, Y: MeasureNetwork, C: np.ndarray):

@@ -48,7 +48,8 @@ class OtProblem:
         if not np.all(np.isfinite(cost)):
             raise GwnetError("cost contains non-finite entries")
         for name, v in (("p", p), ("q", q)):
-            if np.any(v <= 0) or abs(v.sum() - 1.0) > PROB_TOL:
+            # written so that NaN and infinite entries fail too
+            if not (np.all(v > 0) and abs(v.sum() - 1.0) <= PROB_TOL):
                 raise InfeasibleMarginalsError(
                     f"{name} is not a probability vector")
         object.__setattr__(self, "cost", cost)

@@ -8,6 +8,7 @@ means) operates on these two arrays.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,17 @@ class DimensionMismatchError(GwnetError):
 
 class ParseError(GwnetError):
     pass
+
+
+def check_count(value, name: str, least: int) -> int:
+    """value as an int of at least `least`; floats, NaN and strings fail."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise GwnetError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise GwnetError(f"{name} must be at least {least}, got {n}")
+    return n
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -134,8 +146,10 @@ class Coupling:
             raise DimensionMismatchError(
                 f"matrix shape {matrix.shape} does not match marginals "
                 f"({p.shape[0]}, {q.shape[0]})")
-        if not np.all(np.isfinite(matrix)):
-            raise NonFiniteEntryError("coupling contains non-finite entries")
+        if not (np.isfinite(matrix).all() and np.isfinite(p).all()
+                and np.isfinite(q).all()):
+            raise NonFiniteEntryError(
+                "coupling or its marginals contain non-finite entries")
         if matrix.min(initial=0.0) < 0:
             raise GwnetError("coupling entries must be nonnegative")
         if np.max(np.abs(matrix.sum(axis=1) - p)) > MARGINAL_TOL:

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields
 
 import gwnet
@@ -14,6 +15,9 @@ def test_removed_names_stay_removed():
     assert "NotVertexCouplingError" not in gwnet.__all__
     assert not hasattr(gwnet.BlowupPlan, "expand_target")
     assert "lift" not in [f.name for f in fields(gwnet.FrechetGradient)]
+    for name in ("FULL_STEPS", "ARMIJO_BETA", "ARMIJO_SIGMA"):
+        assert not hasattr(gwnet.frechet, name), name
+    assert "warm" not in inspect.signature(gwnet.frechet_loss).parameters
 
 
 def test_solver_and_mean_settings():

@@ -18,6 +18,8 @@ def test_spec_validation():
     with pytest.raises(GwnetError):
         SbmSpec(block_sizes=(2, 2), means=np.zeros((3, 3)))
     with pytest.raises(GwnetError):
+        SbmSpec(block_sizes=(2.5, 3), means=np.zeros((2, 2)))
+    with pytest.raises(GwnetError):
         SbmSpec(block_sizes=(2,), means=[[1.0]], variance=-1.0)
     with pytest.raises(GwnetError):
         SbmSpec(block_sizes=(2,), means=[[1.0]], variance=float("nan"))

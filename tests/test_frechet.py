@@ -127,6 +127,9 @@ def test_mean_of_a_singleton_is_the_member_itself():
     assert np.allclose(result.network.omega, X.omega, atol=1e-12)
     assert result.loss <= 1e-12
     assert result.converged
+    # the seed is already stationary: one evaluation, no step
+    assert result.iterations == 1
+    assert len(result.trace) == 1
 
 
 def test_mean_of_two_aligned_members_is_their_entrywise_mean():
@@ -140,6 +143,8 @@ def test_mean_of_two_aligned_members_is_their_entrywise_mean():
     dis2 = float(mu @ (((B.omega - A.omega) / 2) ** 2) @ mu)
     assert result.loss == pytest.approx(dis2 / 4, rel=1e-9)
     assert result.converged
+    # one full step lands on the mean, where the second evaluation stops
+    assert result.iterations == 2
 
 
 def test_mean_of_mixed_sizes_returns_the_best_iterate():
@@ -208,8 +213,9 @@ def test_compressed_mean_keeps_the_seed_size():
 def test_params_are_validated(two_swap):
     with pytest.raises(GwnetError):
         FrechetParams(compress="pca")
-    with pytest.raises(GwnetError):
-        FrechetParams(max_iters=0)
+    for count in (0, 2.5, float("nan")):
+        with pytest.raises(GwnetError):
+            FrechetParams(max_iters=count)
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(GwnetError):
             FrechetParams(loss_tol=tol)

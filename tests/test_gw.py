@@ -264,6 +264,11 @@ def test_params_validation():
         GwParams(given=np.eye(2) * 0.5)  # a product start would ignore it
     with pytest.raises(GwnetError):
         GwParams(restarts=-1)
+    for count in (2.5, float("nan"), "3"):
+        with pytest.raises(GwnetError):
+            GwParams(max_outer_iters=count)
+    with pytest.raises(GwnetError):
+        GwParams(restarts=1.5)
 
 
 def test_identity_block_needs_same_size(one_node, two_swap):

@@ -150,6 +150,11 @@ def test_problem_validation():
     with pytest.raises(InfeasibleMarginalsError):
         OtProblem(np.zeros((2, 2)), np.array([1.0, 0.0]),
                   np.array([0.5, 0.5]))
+    for bad in ([np.nan, 0.5], [np.inf, 0.5], [np.nan, np.nan]):
+        with pytest.raises(InfeasibleMarginalsError):
+            OtProblem(np.zeros((2, 2)), np.array(bad), np.array([0.5, 0.5]))
+        with pytest.raises(InfeasibleMarginalsError):
+            OtProblem(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array(bad))
     with pytest.raises(GwnetError):
         OtProblem(np.array([[np.inf, 0], [0, 0]]), np.array([0.5, 0.5]),
                   np.array([0.5, 0.5]))

@@ -171,3 +171,8 @@ def test_coupling_validation():
         Coupling(np.array([[0.6, -0.1], [0.0, 0.5]]), p, q)
     with pytest.raises(GwnetError):
         Coupling(np.full((2, 2), 0.25), p, np.array([0.9, 0.1]))
+    for bad in ([np.nan, 0.5], [np.inf, 0.5]):
+        with pytest.raises(NonFiniteEntryError):
+            Coupling(np.eye(2) * 0.5, p, np.array(bad))
+        with pytest.raises(NonFiniteEntryError):
+            Coupling(np.eye(2) * 0.5, np.array(bad), q)
