@@ -268,7 +268,7 @@ def _cmd_support_sweep(args) -> int:
     medians = {}
     for row in rows:
         medians.setdefault(row["n"], []).append(row["support_size"])
-    line = " ".join(f"n={n}:median={int(np.median(v))}"
+    line = " ".join(f"n={n}:median={float(np.median(v))}"
                     for n, v in sorted(medians.items()))
     print(line)
     return 0

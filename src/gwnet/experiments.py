@@ -174,14 +174,13 @@ def support_size_sweep(sizes, trials: int, rng_seed: int = 0,
     support is measured on the coupling the alignment pipeline would
     consume, after vertex rounding.
     """
+    sizes = [check_count(n, "size", 1) for n in sizes]
+    trials = check_count(trials, "trials", 1)
     rng = np.random.default_rng(rng_seed)
     rows = []
     for n in sizes:
-        n = int(n)
-        if n < 1:
-            raise GwnetError(f"sizes must be at least 1, got {n}")
         mu = np.full(n, 1.0 / n)
-        for trial in range(int(trials)):
+        for trial in range(trials):
             X = MeasureNetwork(rng.standard_normal((n, n)), mu)
             Y = MeasureNetwork(rng.standard_normal((n, n)), mu)
             params = gw_params or GwParams()
@@ -208,9 +207,8 @@ def asymmetry_sweep(mode: str, alphas, n_seeds: int,
     if mode not in ("diagonal", "antisymmetric"):
         raise GwnetError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(rng_seed)
-    n1, n2 = int(sizes[0]), int(sizes[1])
-    if min(n1, n2) < 1:
-        raise GwnetError(f"sizes must be at least 1, got {(n1, n2)}")
+    n1, n2 = (check_count(n, "size", 1) for n in sizes[:2])
+    n_seeds = check_count(n_seeds, "n_seeds", 1)
     X1 = rng.random((n1, n1))
     X2 = rng.random((n2, n2))
     rows = []
@@ -227,7 +225,7 @@ def asymmetry_sweep(mode: str, alphas, n_seeds: int,
                 W = S + alpha * A
             n = X.shape[0]
             nets.append(MeasureNetwork(W, np.full(n, 1.0 / n)))
-        for s in range(int(n_seeds)):
+        for s in range(n_seeds):
             p = params or FrechetParams(max_iters=30)
             result = frechet_mean(nets, p, seed=min(n1, n2),
                                   seed_rng=rng_seed + 7919 * s)

@@ -189,9 +189,7 @@ def _resolve_seed(S, seed, rng_seed: int) -> MeasureNetwork:
         return seed
     if seed is None:
         return S[0]
-    k = int(seed)
-    if k < 1:
-        raise GwnetError(f"seed size must be at least 1, got {k}")
+    k = check_count(seed, "seed size", 1)
     rng = np.random.default_rng(rng_seed)
     return MeasureNetwork(rng.random((k, k)), np.full(k, 1.0 / k))
 

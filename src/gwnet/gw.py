@@ -214,8 +214,9 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
         trace = [J]
         G = -2.0 * _cross(A, B, C)     # without the marginal terms
         converged = False
+        basis = []      # each step starts from the previous step's tree
         for _ in range(params.max_outer_iters):
-            V, _ = solve_linear_ot(OtProblem(G, p, q))
+            V, _ = solve_linear_ot(OtProblem(G, p, q), basis)
             D = V.matrix - C
             G_D = -2.0 * _cross(A, B, D)
             # J(C + t D) = J + b t + a t^2 and G(C + t D) = G + t G_D

@@ -11,20 +11,31 @@ Two paths, chosen by the input:
   times that mass (Birkhoff-von Neumann). The problem is then an assignment
   problem, solved exactly by scipy's linear_sum_assignment. Its n entries
   are the stored masses, so the marginals hold exactly.
-- every other shape: the LP is solved with scipy's dual simplex (basic
-  solutions, deterministic), then the flow values are recomputed exactly
-  on the support forest so the marginals hold to machine precision rather
-  than LP tolerance.
+- every other shape: an exact transportation (network) simplex in Python
+  and numpy. It starts from a matrix-minimum spanning tree, prices every
+  cell at once with numpy, and keeps its trees strongly feasible, so
+  degenerate pivots cannot cycle. The flows are recomputed from p and q on
+  the final tree: the vertex has at most n + m - 1 entries and meets its
+  marginals to rounding. A sequence of problems with the same marginals,
+  such as the Frank-Wolfe steps of one solve, can share a basis list, so
+  that each solve starts from the tree the previous one ended on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from .networks import Coupling, GwnetError, PROB_TOL
+
+
+# pricing takes reduced costs above -PRICE_TOL times the largest |cost| as
+# zero: tree-arc reduced costs carry rounding far below it, and leaving such
+# a cell out costs at most that much per unit of mass
+PRICE_TOL = 1e-12
+# the simplex gives up after this many pivots per row and column
+PIVOTS_PER_NODE = 50
 
 
 class InfeasibleMarginalsError(GwnetError):
@@ -69,98 +80,207 @@ def _support_mask(x: np.ndarray, threshold: float) -> np.ndarray:
     return mask
 
 
-def _repair_on_forest(x: np.ndarray, p: np.ndarray,
-                      q: np.ndarray) -> np.ndarray:
-    """Recompute flows exactly from the marginals on the support of x.
+def _initial_tree(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """Matrix-minimum basis as a rooted spanning tree.
 
-    The support of a basic LP solution is a forest in the bipartite
-    row/column graph, so peeling rows or columns with a single remaining
-    entry determines every flow exactly. Cycles can only appear if the
-    support was read off a non-basic point; the smallest entry is dropped
-    to break them. Leaves are processed off a stack, so one pass costs
-    time linear in the support size.
+    Cells are taken in order of increasing cost (row-major among equal
+    costs). A cell whose row and column are both open ships what it can and
+    closes one of them: the column when both run out together, so the row
+    stays open with nothing left and later gets a zero-flow cell. The last
+    open column never closes, so the last cell hangs the last row under it,
+    and the last open row stays open while several columns are; without
+    rounding, the masses force both anyway. Each cell hangs the line it
+    closes under the line it leaves open, so after n + m - 1 cells the one
+    line still open is the root of a spanning tree. Zero-flow cells hang a
+    row under a column: their row-to-column arcs point up to the root, and
+    the tree is strongly feasible.
+
+    Returns the parent and the flow on the arc to the parent per node, rows
+    first and then columns.
     """
-    n, m = x.shape
-    support = _support_mask(x, max(x.max(initial=0.0), 1.0) * 1e-12)
-    ei, ej = np.nonzero(support)
-    row_entries: list[set] = [set() for _ in range(n)]
-    col_entries: list[set] = [set() for _ in range(m)]
-    for i, j in zip(ei.tolist(), ej.tolist()):
-        row_entries[i].add(j)
-        col_entries[j].add(i)
+    n, m = cost.shape
+    rp, cq = p.tolist(), q.tolist()
+    row_open, col_open = [True] * n, [True] * m
+    open_rows, open_cols = n, m
+    parent, flow = [-1] * (n + m), [0.0] * (n + m)
+    for c in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(c, m)
+        if not (row_open[i] and col_open[j]):
+            continue
+        t = min(rp[i], cq[j])
+        rp[i] -= t
+        cq[j] -= t
+        if open_cols == 1 or (open_rows > 1 and rp[i] < cq[j]):
+            row_open[i] = False
+            open_rows -= 1
+            parent[i], flow[i] = n + j, t
+        else:
+            col_open[j] = False
+            open_cols -= 1
+            parent[n + j], flow[n + j] = i, t
+        if open_rows + open_cols == 1:
+            return parent, flow
 
-    out = np.zeros_like(x)
-    rp = p.astype(float).copy()
-    cq = q.astype(float).copy()
-    remaining = len(ei)
-    stack = [("r", i) for i in range(n) if len(row_entries[i]) == 1]
-    stack += [("c", j) for j in range(m) if len(col_entries[j]) == 1]
-    while remaining:
-        while stack:
-            kind, a = stack.pop()
-            if kind == "r":
-                if len(row_entries[a]) != 1:
-                    continue
-                j = row_entries[a].pop()
-                out[a, j] = rp[a]
-                cq[j] -= rp[a]
-                rp[a] = 0.0
-                col_entries[j].discard(a)
-                if len(col_entries[j]) == 1:
-                    stack.append(("c", j))
+
+def _hang(stack, parent, children, depth, pi, cl, n):
+    """Set the depth and potential of each node in the subtrees under the
+    nodes on stack from its parent's, so that u_i + v_j = cost_ij holds
+    exactly on the arc up."""
+    while stack:
+        x = stack.pop()
+        y = parent[x]
+        depth[x] = depth[y] + 1
+        pi[x] = (cl[x][y - n] if x < n else cl[y][x - n]) - pi[y]
+        stack += children[x]
+
+
+def _network_simplex(cost: np.ndarray, p: np.ndarray, q: np.ndarray,
+                     basis: list | None = None) -> tuple[np.ndarray, int]:
+    """Optimal vertex of the transportation polytope, and the pivot count.
+
+    The transport problem is a network flow from n row nodes (supplies p)
+    to m column nodes (demands q) over the n x m row-to-column arcs. Its
+    bases are spanning trees of that bipartite graph, kept rooted with a
+    parent pointer, a depth and the flow to the parent per node, and node
+    potentials with u_i + v_j = cost_ij on every tree arc. Each pivot:
+
+    - prices every cell at once with numpy and enters the most negative
+      reduced cost cost_ij - u_i - v_j (Dantzig's rule; the first cell in
+      row-major order on ties), stopping when none is below -PRICE_TOL
+      times the largest |cost|;
+    - pushes the largest feasible flow round the cycle that the entering
+      cell closes in the tree;
+    - removes the last blocking arc met when walking the cycle along the
+      flow from its apex. This keeps the tree strongly feasible
+      (Cunningham 1976): every zero-flow arc points up to the root, so some
+      flow can be pushed from any node to the root, and degenerate pivots
+      cannot cycle;
+    - hangs the cut-off subtree back from the entering cell, recomputing
+      its depths and potentials from their parents, so rounding does not
+      build up over pivots.
+
+    More than PIVOTS_PER_NODE * (n + m) pivots raise GwnetError. The flows
+    returned are recomputed from p and q on the final tree, stripping
+    leaves towards the root, so the vertex has at most n + m - 1 entries
+    and meets its marginals to rounding.
+
+    A non-empty basis holds the parents and flows of the tree an earlier
+    solve with the same p and q ended on; the simplex starts from it in
+    place of the matrix-minimum tree. Any basis list passed is left holding
+    the final tree.
+    """
+    n, m = cost.shape
+    cl = cost.tolist()
+    parent, flow = basis if basis else _initial_tree(cost, p, q)
+    children = [[] for _ in range(n + m)]
+    for x, y in enumerate(parent):
+        if y >= 0:
+            children[y].append(x)
+    depth, pi = [0] * (n + m), [0.0] * (n + m)
+    _hang(list(children[parent.index(-1)]), parent, children, depth, pi,
+          cl, n)
+
+    tol = PRICE_TOL * float(np.abs(cost).max())
+    cap = PIVOTS_PER_NODE * (n + m)
+    pivots = 0
+    reduced = np.empty_like(cost)
+    while True:
+        u = np.array(pi)
+        np.subtract(cost, u[:n, None], out=reduced)
+        reduced -= u[n:]
+        e = int(reduced.argmin())
+        if not reduced.item(e) < -tol:
+            break
+        if pivots >= cap:
+            raise GwnetError(
+                f"transport simplex stopped at its cap of {cap} pivots")
+        pivots += 1
+        k, l = divmod(e, m)
+        K, L = k, n + l
+
+        # tree paths from K and L up to their apex; flow enters along K -> L,
+        # climbs from L to the apex and comes down to K, so it runs against
+        # the row-to-column arcs climbed from a column or descended to a row
+        kpath, lpath = [], []
+        a, b = K, L
+        while depth[a] > depth[b]:
+            kpath.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            lpath.append(b)
+            b = parent[b]
+        while a != b:
+            kpath.append(a)
+            a = parent[a]
+            lpath.append(b)
+            b = parent[b]
+        # the last blocking arc from the apex: the highest on L's side,
+        # else the lowest on K's side
+        theta_l = theta_k = float("inf")
+        out_l = out_k = -1
+        for x in lpath:
+            if x >= n and flow[x] <= theta_l:
+                theta_l, out_l = flow[x], x
+        for x in kpath:
+            if x < n and flow[x] < theta_k:
+                theta_k, out_k = flow[x], x
+        if theta_l <= theta_k:
+            theta, out, s, t, path = theta_l, out_l, L, K, lpath
+        else:
+            theta, out, s, t, path = theta_k, out_k, K, L, kpath
+        for x in lpath:
+            flow[x] += -theta if x >= n else theta
+        for x in kpath:
+            flow[x] += -theta if x < n else theta
+
+        # cut out's arc, hang s under t and reverse the arcs from s to out
+        seg = path[:path.index(out) + 1]
+        children[parent[out]].remove(out)
+        children[t].append(s)
+        for a, b in zip(seg, seg[1:]):
+            children[b].remove(a)
+            children[a].append(b)
+        prev, prev_flow = t, theta
+        for x in seg:
+            nxt_flow = flow[x]
+            parent[x], flow[x] = prev, prev_flow
+            prev, prev_flow = x, nxt_flow
+        _hang([s], parent, children, depth, pi, cl, n)
+
+    excess = p.tolist() + (-q).tolist()
+    cells, values = [], []
+    for x in sorted(range(n + m), key=depth.__getitem__, reverse=True):
+        y = parent[x]
+        if y >= 0:
+            excess[y] += excess[x]
+            if x < n:
+                cells.append(x * m + y - n)
+                values.append(excess[x])
             else:
-                if len(col_entries[a]) != 1:
-                    continue
-                i = col_entries[a].pop()
-                out[i, a] = cq[a]
-                rp[i] -= cq[a]
-                cq[a] = 0.0
-                row_entries[i].discard(a)
-                if len(row_entries[i]) == 1:
-                    stack.append(("r", i))
-            remaining -= 1
-        if remaining:
-            # cycle: drop the smallest remaining support entry
-            best = None
-            for i in range(n):
-                for j in row_entries[i]:
-                    if best is None or x[i, j] < x[best]:
-                        best = (i, j)
-            i, j = best
-            row_entries[i].discard(j)
-            col_entries[j].discard(i)
-            remaining -= 1
-            if len(row_entries[i]) == 1:
-                stack.append(("r", i))
-            if len(col_entries[j]) == 1:
-                stack.append(("c", j))
-    # degenerate flows can come out as -0.0 or float dust; clamp
-    out[out < 0] = 0.0
-    return out
+                cells.append(y * m + x - n)
+                values.append(-excess[x])
+    matrix = np.zeros(n * m)
+    # a zero-flow arc can come out as rounding dust below zero
+    matrix[cells] = np.maximum(values, 0.0)
+    if basis is not None:
+        basis[:] = parent, flow
+    return matrix.reshape(n, m), pivots
 
 
-def _marginal_constraints(n: int, m: int):
-    """Sparse equality system: all n row sums plus the first m - 1 column
-    sums. The last column is implied by mass balance; dropping it keeps the
-    system full rank."""
-    ci = np.arange(n * m)
-    ri = np.repeat(np.arange(n), m)
-    cj = np.tile(np.arange(m), n)
-    keep = cj < m - 1
-    rows = np.concatenate([ri, n + cj[keep]])
-    cols = np.concatenate([ci, ci[keep]])
-    data = np.ones(len(rows))
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n + m - 1, n * m))
-
-
-def solve_linear_ot(prob: OtProblem) -> tuple[Coupling, float]:
+def solve_linear_ot(prob: OtProblem,
+                    _basis: list | None = None) -> tuple[Coupling, float]:
     """Minimize <cost, C> over the transportation polytope of (p, q).
 
     Returns a vertex coupling (support at most n + m - 1 entries) and the
     objective value at it, measured with the original cost matrix. Equal
     sizes with all masses equal are solved as an assignment problem (the
     vertices are scaled permutations, n entries of exactly p[0]); any other
-    shape goes through the dual simplex and the repair on its support.
+    shape with more than one row and column goes through the transportation
+    simplex, whose marginals hold to rounding.
+
+    _basis is private to solve_gw: a list, empty at first, that the simplex
+    leaves holding its final tree and starts from on the next call. Every
+    problem passed with the same list must have the same p and q.
     """
     cost, p, q = prob.cost, prob.p, prob.q
     n, m = cost.shape
@@ -176,12 +296,5 @@ def solve_linear_ot(prob: OtProblem) -> tuple[Coupling, float]:
         matrix[rows, cols] = p
         return Coupling(matrix, p, q), float(np.sum(cost * matrix))
 
-    scale = float(np.max(np.abs(cost)))
-    c = (cost / scale if scale > 0 else cost).ravel()
-    b_eq = np.concatenate([p, q[:-1]])
-    res = linprog(c, A_eq=_marginal_constraints(n, m), b_eq=b_eq,
-                  bounds=(0, None), method="highs-ds")
-    if res.status != 0:
-        raise InfeasibleMarginalsError(f"transport LP failed: {res.message}")
-    matrix = _repair_on_forest(res.x.reshape(n, m), p, q)
+    matrix, _ = _network_simplex(cost, p, q, _basis)
     return Coupling(matrix, p, q), float(np.sum(cost * matrix))

@@ -208,6 +208,14 @@ def test_support_sweep_writes_csv(tmp_path, capsys):
     assert set(rows[0]) == {"n", "trial", "support_size", "ratio"}
 
 
+def test_support_sweep_prints_half_integer_medians(tmp_path, capsys):
+    # this seed's two trials have supports 5 and 8
+    rc = main(["support-sweep", "--sizes", "5", "--trials", "2", "--seed",
+               "3", "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "n=5:median=6.5"
+
+
 def test_asym_sweep_writes_csv(tmp_path):
     out = tmp_path / "asym.csv"
     rc = main(["asym-sweep", "--mode", "diagonal", "--alphas", "0,1",
@@ -230,6 +238,9 @@ def test_asym_sweep_writes_csv(tmp_path):
     ["asym-sweep", "--sizes", "0"],
     ["asym-sweep", "--sizes", "3,3,3"],
     ["support-sweep", "--sizes", "0"],
+    ["support-sweep", "--sizes", "3", "--trials", "0"],
+    ["support-sweep", "--sizes", "3", "--trials", "-1"],
+    ["asym-sweep", "--n-seeds", "0"],
     ["mean", "{x}", "{y}", "--seed-size", "-2"],
     ["mean", "{x}", "{y}", "--seed-size", "0"],
     ["pca", "{x}", "{y}", "--components", "-1"],

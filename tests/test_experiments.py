@@ -143,3 +143,18 @@ def test_asymmetry_sweep_schema_and_determinism():
 def test_asymmetry_sweep_rejects_unknown_modes():
     with pytest.raises(GwnetError):
         asymmetry_sweep("offdiagonal", alphas=(0.5,), n_seeds=1)
+
+
+@pytest.mark.parametrize("sizes, trials", [
+    ([2.5], 1), ([3], -1), ([3], 0), ([0], 1), ([3], 1.0), (["3"], 1)])
+def test_support_sweep_rejects_bad_counts(sizes, trials):
+    with pytest.raises(GwnetError):
+        support_size_sweep(sizes, trials)
+
+
+@pytest.mark.parametrize("sizes, n_seeds", [
+    ((3, 3), 0), ((3, 3), -1), ((3, 3), 1.5), ((2.5, 3), 1), ((3, 0), 1)])
+def test_asymmetry_sweep_rejects_bad_counts(sizes, n_seeds):
+    with pytest.raises(GwnetError):
+        asymmetry_sweep("diagonal", alphas=(0.5,), n_seeds=n_seeds,
+                        sizes=sizes)

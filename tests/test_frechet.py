@@ -219,6 +219,6 @@ def test_params_are_validated(two_swap):
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(GwnetError):
             FrechetParams(loss_tol=tol)
-    for size in (0, -1):
+    for size in (0, -1, 2.5, float("nan"), "3"):
         with pytest.raises(GwnetError):
             frechet_mean([two_swap], seed=size)

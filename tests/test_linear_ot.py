@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwnet import InfeasibleMarginalsError, GwnetError, OtProblem, \
     solve_linear_ot
-from gwnet.linear_ot import _repair_on_forest
+from gwnet.linear_ot import _network_simplex
 
 from oracles import brute_min_ot, highs_min_ot
 
@@ -163,27 +164,6 @@ def test_problem_validation():
                   np.array([0.5, 0.5]))
 
 
-def test_repair_restores_marginals_from_noisy_vertex():
-    p = np.array([0.3, 0.7])
-    q = np.array([0.2, 0.3, 0.5])
-    vertex = np.array([[0.2, 0.1, 0.0], [0.0, 0.2, 0.5]])
-    noisy = vertex + np.array([[3e-13, -2e-13, 5e-14], [0.0, 1e-13, -4e-13]])
-    out = _repair_on_forest(noisy, p, q)
-    assert np.abs(out.sum(axis=1) - p).max() == 0.0
-    assert np.abs(out.sum(axis=0) - q).max() < 1e-16
-    assert np.allclose(out, vertex, atol=1e-12)
-
-
-def test_repair_breaks_cycles():
-    # the product coupling's support is the full bipartite graph: a cycle
-    p = np.array([0.5, 0.5])
-    q = np.array([0.5, 0.5])
-    out = _repair_on_forest(np.full((2, 2), 0.25), p, q)
-    assert (out > 1e-12).sum() <= 3
-    assert np.abs(out.sum(axis=1) - p).max() < 1e-15
-    assert np.abs(out.sum(axis=0) - q).max() < 1e-15
-
-
 def test_repair_handles_tiny_masses():
     p = np.array([1e-9, 1.0 - 1e-9])
     q = np.array([0.5, 0.5])
@@ -191,3 +171,143 @@ def test_repair_handles_tiny_masses():
     C, _ = solve_linear_ot(OtProblem(cost, p, q))
     assert np.abs(C.matrix.sum(axis=1) - p).max() < 1e-15
     assert (C.matrix >= 0).all()
+
+
+def _check_vertex(C, val, cost, p, q, slack=None):
+    """Optimal against HiGHS (to 1e-9 relative, or `slack` absolute), a
+    forest support and exact marginals."""
+    n, m = cost.shape
+    assert val == pytest.approx(highs_min_ot(cost, p, q), rel=1e-9,
+                                abs=slack)
+    assert (C.matrix >= 0).all()
+    assert (C.matrix > 0).sum() <= n + m - 1
+    assert np.abs(C.matrix.sum(axis=1) - p).max() <= 1e-15
+    assert np.abs(C.matrix.sum(axis=0) - q).max() <= 1e-15
+
+
+def _masses(rng, n, lo):
+    """Positive masses spread over the decades from 10**lo to 0.1."""
+    v = 10.0 ** rng.uniform(lo, -1.0, n)
+    return v / v.sum()
+
+
+def test_tall_problems_with_tiny_row_masses():
+    # the shape of the Frechet mean's alignments onto a grown base
+    rng = np.random.default_rng(140)
+    for _ in range(5):
+        n, m = int(rng.integers(130, 150)), 6
+        cost = rng.standard_normal((n, m))
+        p = _masses(rng, n, -10.0)
+        q = rng.dirichlet(np.ones(m))
+        _check_vertex(*solve_linear_ot(OtProblem(cost, p, q)), cost, p, q)
+
+
+def test_wide_uniform_unequal_marginals():
+    # the block-model compression: 5 seed nodes against 100 members
+    rng = np.random.default_rng(5100)
+    p, q = np.full(5, 1 / 5), np.full(100, 1 / 100)
+    for _ in range(5):
+        cost = rng.standard_normal((5, 100))
+        _check_vertex(*solve_linear_ot(OtProblem(cost, p, q)), cost, p, q)
+
+
+def test_dirichlet_masses_off_square():
+    rng = np.random.default_rng(1218)
+    for _ in range(10):
+        cost = rng.standard_normal((12, 18))
+        p, q = rng.dirichlet(np.ones(12)), rng.dirichlet(np.ones(18))
+        _check_vertex(*solve_linear_ot(OtProblem(cost, p, q)), cost, p, q)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (2, 4), (4, 3), (3, 4)])
+def test_degenerate_costs_match_vertex_sweep(n, m):
+    # integer costs tie many bases and uniform masses make many flows run
+    # out together, so most pivots are degenerate
+    rng = np.random.default_rng(10 * n + m)
+    p, q = np.full(n, 1 / n), np.full(m, 1 / m)
+    for _ in range(40):
+        cost = rng.integers(0, 3, (n, m)).astype(float)
+        basis = []
+        C, val = solve_linear_ot(OtProblem(cost, p, q), basis)
+        best, _ = brute_min_ot(cost, p, q)
+        assert val == pytest.approx(best, abs=1e-12)
+        assert (C.matrix > 0).sum() <= n + m - 1
+        assert np.abs(C.matrix.sum(axis=1) - p).max() <= 1e-15
+        assert np.abs(C.matrix.sum(axis=0) - q).max() <= 1e-15
+        # strongly feasible: a zero-flow arc hangs a row under a column,
+        # pointing up to the root
+        parent, flow = basis
+        assert all(x < n <= parent[x] for x in range(n + m)
+                   if parent[x] >= 0 and flow[x] == 0.0)
+
+
+def test_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr("gwnet.linear_ot.PIVOTS_PER_NODE", 0)
+    # the matrix-minimum start fills the cheap cell (0, 0) and leaves row 1
+    # to pay 5 on column 1; the optimum sends row 1 to column 0
+    cost = np.array([[0.0, 0.1], [1.0, 5.0]])
+    p, q = np.array([0.5, 0.5]), np.array([0.4, 0.6])
+    with pytest.raises(GwnetError, match="pivot"):
+        solve_linear_ot(OtProblem(cost, p, q))
+
+
+def test_shared_basis_solves_each_problem_exactly():
+    # the Frank-Wolfe steps of one solve share their marginals and a basis
+    rng = np.random.default_rng(77)
+    p, q = rng.dirichlet(np.ones(9)), rng.dirichlet(np.ones(14))
+    cost = rng.standard_normal((9, 14))
+    basis = []
+    for _ in range(8):
+        cost = cost + 0.3 * rng.standard_normal((9, 14))
+        C, val = solve_linear_ot(OtProblem(cost, p, q), basis)
+        _check_vertex(C, val, cost, p, q)
+    # the shared tree is the optimal one: solving again needs no pivot
+    again, pivots = _network_simplex(cost, p, q, basis)
+    assert pivots == 0
+    assert np.array_equal(again, C.matrix)
+
+
+@st.composite
+def _transport_problems(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    decades = st.floats(-12.0, 0.0)
+    p = 10.0 ** np.array(draw(st.lists(decades, min_size=n, max_size=n)))
+    q = 10.0 ** np.array(draw(st.lists(decades, min_size=m, max_size=m)))
+    entries = st.integers(0, 3).map(float) if draw(st.booleans()) \
+        else st.floats(-10.0, 10.0)
+    cost = np.array(draw(st.lists(entries, min_size=n * m,
+                                  max_size=n * m))).reshape(n, m)
+    return cost, p / p.sum(), q / q.sum()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_transport_problems())
+def test_property_matches_highs_on_a_forest(problem):
+    cost, p, q = problem
+    n, m = cost.shape
+    basis = []
+    C, val = solve_linear_ot(OtProblem(cost, p, q), basis)
+    # HiGHS stops once no reduced cost is below its 1e-10 tolerance times
+    # the largest cost, so its objective is good to about that much (a
+    # drawn case: costs 0 and -1e-12 on a uniform 2 x 2, optimum -5e-13,
+    # HiGHS 0)
+    scale = float(np.abs(cost).max())
+    _check_vertex(C, val, cost, p, q, slack=1e-10 * scale)
+    if basis:
+        # LP duality at any mass scale: potentials solved from the final
+        # tree price no cell below zero, and the flow stays on the tree
+        parent, _ = basis
+        eqs, rhs = np.zeros((n + m, n + m)), np.zeros(n + m)
+        tree = np.zeros((n, m), dtype=bool)
+        for x, y in enumerate(parent):
+            if y < 0:
+                eqs[x, x] = 1.0
+            else:
+                i, j = min(x, y), max(x, y) - n
+                eqs[x, i] = eqs[x, n + j] = 1.0
+                rhs[x] = cost[i, j]
+                tree[i, j] = True
+        pi = np.linalg.solve(eqs, rhs)
+        assert (cost - pi[:n, None] - pi[None, n:]).min() >= -1e-11 * scale
+        assert not C.matrix[~tree].any()
