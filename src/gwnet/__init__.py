@@ -15,8 +15,8 @@ from .networks import (Coupling, DimensionMismatchError, GwnetError,
                        write_network)
 from .linear_ot import InfeasibleMarginalsError, OtProblem, solve_linear_ot
 from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
-                 distortion_tensor, gw_distance, gw_gradient,
-                 northwest_corner, random_vertex, solve_gw)
+                 gw_distance, gw_gradient, northwest_corner, random_vertex,
+                 solve_gw)
 from .alignment import (AlignedPair, BlowupPlan, aligned_distance, align,
                         binarize, blow_up, expansion_coupling_source,
                         expansion_coupling_target, support_size,
@@ -50,7 +50,7 @@ __all__ = [
     "TangentDataset", "TangentVector",
     "aligned_distance", "align", "asymmetry_sweep", "binarize", "blow_up",
     "compress_log", "compressed_average", "default_sbm_spec",
-    "distortion_matrix", "distortion_tensor", "evaluate", "exp_map",
+    "distortion_matrix", "evaluate", "exp_map",
     "expansion_coupling_source", "expansion_coupling_target", "featurize",
     "frechet_gradient", "frechet_loss", "frechet_mean", "generate_sbm",
     "geodesic_aligned", "geodesic_certificate", "geodesic_naive",

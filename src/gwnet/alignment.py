@@ -7,6 +7,10 @@ the coupling (row-major order), carries its mass, pulls its row weights
 from X via i_k and its column weights from Y via j_k. On the expanded pair
 the weight matrices can be compared entrywise, which is what geodesics,
 tangent vectors and means are built on.
+
+This module alone decides which entries form the support (_support_mask)
+and how matrices move between a network and its expansion (BlowupPlan):
+support_size(C) is always the node count blow_up makes from C.
 """
 from __future__ import annotations
 
@@ -14,25 +18,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import Coupling, GwnetError, MeasureNetwork, SolveReport
-from .gw import GwParams, distortion_matrix, solve_gw, _cross, _objective
-from .linear_ot import OtProblem, _support_mask, solve_linear_ot
+from .networks import Coupling, GwnetError, MeasureNetwork
+from .gw import (GwParams, _as_matrix, _check_shapes, _cross, _objective,
+                 solve_gw)
+from .linear_ot import OtProblem, solve_linear_ot
 
 # entries below this fraction of the largest one are treated as zeros;
 # line searches leave dust that must not spawn spurious node copies
 SUPPORT_REL_THRESHOLD = 1e-9
 
 
+def _support_mask(x: np.ndarray, threshold: float | None = None) -> np.ndarray:
+    """Entries of x above threshold, by default SUPPORT_REL_THRESHOLD times
+    the largest entry. Marginals are positive, so every row and column
+    carries mass: one that thresholding empties keeps its largest entry."""
+    if threshold is None:
+        threshold = SUPPORT_REL_THRESHOLD * x.max(initial=0.0)
+    mask = x > threshold
+    for i in np.flatnonzero(~mask.any(axis=1)):
+        mask[i, int(np.argmax(x[i]))] = True
+    for j in np.flatnonzero(~mask.any(axis=0)):
+        mask[int(np.argmax(x[:, j])), j] = True
+    return mask
+
+
 def binarize(C, threshold: float | None = None) -> np.ndarray:
     """0/1 support indicator of a coupling."""
-    C = C.matrix if isinstance(C, Coupling) else np.asarray(C, dtype=float)
-    if threshold is None:
-        threshold = SUPPORT_REL_THRESHOLD * C.max(initial=0.0)
-    return (C > threshold).astype(float)
+    return _support_mask(_as_matrix(C), threshold).astype(float)
 
 
 def support_size(C, threshold: float | None = None) -> int:
-    """Number of coupling entries above the support threshold."""
+    """Number of coupling entries in the support: the size of its blow-up."""
     return int(binarize(C, threshold).sum())
 
 
@@ -41,30 +57,51 @@ class BlowupPlan:
     """Bookkeeping of one expansion.
 
     source_index[k] and target_index[k] give the X node and Y node behind
-    expanded node k; u and v count the copies made of each X and Y node.
-    expand() replays the row/column replication on any matrix living on the
-    pre-expansion X nodes, which is how tangent vectors collected on an
-    older base are carried onto a newer one.
+    expanded node k; u and v count the copies made of each X and Y node
+    (every node has at least one). expand() replays the row/column
+    replication on a matrix living on the X nodes, which is how tangent
+    vectors collected on an older base are carried onto a newer one;
+    average() takes a matrix on the expanded nodes back to the X nodes by
+    averaging over the copies.
     """
 
     source_index: tuple[int, ...]
     target_index: tuple[int, ...]
-    u: tuple[int, ...]
-    v: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.source_index)
 
+    @property
+    def u(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.source_index).tolist())
+
+    @property
+    def v(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.target_index).tolist())
+
     def expand(self, mat: np.ndarray) -> np.ndarray:
         """Replicate rows/columns of a matrix on X onto the expanded nodes."""
         idx = np.array(self.source_index)
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (len(self.u), len(self.u)):
-            raise GwnetError(
-                f"matrix shape {mat.shape} does not live on the {len(self.u)} "
-                "source nodes")
-        return mat[np.ix_(idx, idx)]
+        return _square(mat, len(self.u), "source")[np.ix_(idx, idx)]
+
+    def average(self, mat: np.ndarray) -> np.ndarray:
+        """Block average of a matrix on the expanded nodes: entry (i, i') is
+        the plain mean over the u_i * u_i' copy pairs of X nodes i and i'."""
+        mat = _square(mat, self.size, "expanded")
+        u = np.array(self.u)
+        P = (np.arange(len(u))[:, None] == np.array(self.source_index)) \
+            / u[:, None]
+        return P @ mat @ P.T
+
+
+def _square(mat, n: int, nodes: str) -> np.ndarray:
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape != (n, n):
+        raise GwnetError(
+            f"matrix shape {mat.shape} does not live on the {n} {nodes} "
+            "nodes")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -100,27 +137,18 @@ def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
     at most n + m - 1.
     """
     mat = C.matrix
-    if mat.shape != (X.size, Y.size):
-        raise GwnetError(
-            f"coupling shape {mat.shape} does not match networks "
-            f"({X.size}, {Y.size})")
-    mask = _support_mask(mat, SUPPORT_REL_THRESHOLD * mat.max(initial=0.0))
-    src, tgt = np.nonzero(mask)          # row-major, so ascending target per row
+    _check_shapes(X, Y, mat)
+    src, tgt = np.nonzero(_support_mask(mat))  # ascending target per row
     masses = mat[src, tgt].astype(float)
     # exact mass preservation per source node
     for i in range(X.size):
         sel = src == i
         masses[sel] *= X.mu[i] / masses[sel].sum()
-    u = np.bincount(src, minlength=X.size)
-    v = np.bincount(tgt, minlength=Y.size)
-    plan = BlowupPlan(source_index=tuple(int(i) for i in src),
-                      target_index=tuple(int(j) for j in tgt),
-                      u=tuple(int(k) for k in u),
-                      v=tuple(int(k) for k in v))
     return AlignedPair(omega_xhat=X.omega[np.ix_(src, src)],
                        omega_yhat=Y.omega[np.ix_(tgt, tgt)],
                        mu_hat=masses,
-                       plan=plan)
+                       plan=BlowupPlan(tuple(src.tolist()),
+                                       tuple(tgt.tolist())))
 
 
 def aligned_distance(pair: AlignedPair) -> float:
@@ -155,32 +183,31 @@ def to_vertex_coupling(X: MeasureNetwork, Y: MeasureNetwork,
 
 def align(X: MeasureNetwork, Y: MeasureNetwork,
           params: GwParams | None = None,
-          coupling: Coupling | None = None) -> tuple[AlignedPair, Coupling, SolveReport]:
-    """Solve for a coupling (unless given), vertex-round it, and blow up."""
+          coupling: Coupling | None = None) -> tuple[AlignedPair, Coupling]:
+    """Solve for a coupling (unless given), vertex-round it, and blow up.
+    Returns the aligned pair and the coupling it expands."""
     if coupling is None:
-        coupling, report = solve_gw(X, Y, params)
-    else:
-        dis = distortion_matrix(X, Y, coupling)
-        report = SolveReport(cost=dis, gw_distance=dis / 2.0, iterations=0,
-                             converged=True, objective_trace=(dis ** 2,))
+        coupling, _ = solve_gw(X, Y, params)
     coupling = to_vertex_coupling(X, Y, coupling)
-    return blow_up(X, Y, coupling), coupling, report
+    return blow_up(X, Y, coupling), coupling
+
+
+def _expansion_matrix(index, n: int, pair: AlignedPair) -> np.ndarray:
+    """n x |pair| matrix giving each expanded node k its own mass at the
+    node index[k] of the unexpanded network."""
+    mat = np.zeros((n, pair.size))
+    mat[np.array(index), np.arange(pair.size)] = pair.mu_hat
+    return mat
 
 
 def expansion_coupling_source(X: MeasureNetwork, pair: AlignedPair) -> Coupling:
     """The canonical coupling between X and its expansion: each copy gets
     its own mass. Certifies that the expansion is at distance zero."""
-    plan = pair.plan
-    mat = np.zeros((X.size, pair.size))
-    for k, i in enumerate(plan.source_index):
-        mat[i, k] = pair.mu_hat[k]
-    return Coupling(mat, X.mu, pair.mu_hat)
+    return Coupling(_expansion_matrix(pair.plan.source_index, X.size, pair),
+                    X.mu, pair.mu_hat)
 
 
 def expansion_coupling_target(Y: MeasureNetwork, pair: AlignedPair) -> Coupling:
     """Canonical coupling between Y and the aligned target expansion."""
-    plan = pair.plan
-    mat = np.zeros((Y.size, pair.size))
-    for k, j in enumerate(plan.target_index):
-        mat[j, k] = pair.mu_hat[k]
-    return Coupling(mat, Y.mu, pair.mu_hat)
+    return Coupling(_expansion_matrix(pair.plan.target_index, Y.size, pair),
+                    Y.mu, pair.mu_hat)

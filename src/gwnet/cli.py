@@ -147,21 +147,24 @@ def _cmd_mean(args) -> int:
 def _cmd_compress(args) -> int:
     X = read_network(args.x)
     Y = read_network(args.y)
-    params = FrechetParams(gw=GwParams(restarts=args.restarts,
-                                       rng_seed=args.seed))
-    net = compressed_average(X, Y, params)
+    net = compressed_average(X, Y, FrechetParams(gw=_gw_params(args)))
     out = args.out or "compressed.json"
     write_network(net, out, args.format)
     print(f"wrote {out}")
     return 0
 
 
-def _cmd_pca(args) -> int:
+def _tangent_dataset(args):
+    """The named inputs, and their tangent dataset at --base (default: the
+    first input)."""
     named = _load_inputs(args.inputs)
     nets = [net for _, net in named]
     base = read_network(args.base) if args.base else nets[0]
-    ds = vectorize_at_base(base, nets, GwParams(restarts=args.restarts,
-                                                rng_seed=args.seed))
+    return named, vectorize_at_base(base, nets, _gw_params(args))
+
+
+def _cmd_pca(args) -> int:
+    _, ds = _tangent_dataset(args)
     result = tangent_pca(ds, args.components)
     payload = {
         "explainedVarianceRatios": result.explained_variance_ratios.tolist(),
@@ -187,11 +190,7 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
-    named = _load_inputs(args.inputs)
-    nets = [net for _, net in named]
-    base = read_network(args.base) if args.base else nets[0]
-    ds = vectorize_at_base(base, nets, GwParams(restarts=args.restarts,
-                                                rng_seed=args.seed))
+    named, ds = _tangent_dataset(args)
     feats = featurize(ds)
     labels = {name: name for name, _ in named}
     if args.labels:

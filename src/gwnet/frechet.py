@@ -24,7 +24,7 @@ import numpy as np
 
 from .networks import Coupling, GwnetError, MeasureNetwork, check_count
 from .gw import GwParams, solve_gw
-from .alignment import align, aligned_distance
+from .alignment import _expansion_matrix, align, aligned_distance
 from .tangent import TangentVector
 
 
@@ -112,20 +112,18 @@ def sequential_log(X: MeasureNetwork, S: list[MeasureNetwork],
     distances: list[float] = []
     for k, Y in enumerate(S):
         gwp = _warm_params(gw_params, couplings[k], (base.size, Y.size))
-        pair, _, _ = align(base, Y, gwp)
-        src = np.array(pair.plan.source_index)
+        pair, _ = align(base, Y, gwp)
+        plan = pair.plan
         if pair.size != base.size:
             # an expansion happened: replicate everything collected so far,
             # the couplings of earlier members and the warm starts of later
-            targets = [T[np.ix_(src, src)] for T in targets]
+            targets = [plan.expand(T) for T in targets]
             couplings = [
-                _lift_coupling(C, src, base.mu, pair.mu_hat)
+                _lift_coupling(C, plan.source_index, base.mu, pair.mu_hat)
                 if j != k and C is not None and C.shape[0] == base.size
                 else C for j, C in enumerate(couplings)]
         # the member's own coupling from the new base is the diagonal one
-        mat = np.zeros((pair.size, Y.size))
-        mat[np.arange(pair.size), np.array(pair.plan.target_index)] = pair.mu_hat
-        couplings[k] = mat
+        couplings[k] = _expansion_matrix(plan.target_index, Y.size, pair).T
         targets.append(pair.omega_yhat)
         distances.append(aligned_distance(pair))
         base = pair.base_network()
@@ -181,7 +179,6 @@ class FrechetResult:
     converged: bool
     iterations: int
     trace: tuple          # (iteration, loss, base_size) rows
-    max_iters_exceeded: bool
 
 
 def _resolve_seed(S, seed, rng_seed: int) -> MeasureNetwork:
@@ -207,8 +204,7 @@ def frechet_mean(S: list[MeasureNetwork],
     loss, where that step would not move the base (for an uncompressed
     mean it would lower the loss by exactly |g|^2_mu / 16), or once the
     loss has settled for 3 iterations. Returns the best iterate seen, with
-    converged False and max_iters_exceeded True when neither happened
-    within max_iters.
+    converged False when neither happened within max_iters.
     """
     if not S:
         raise GwnetError("empty collection")
@@ -249,8 +245,7 @@ def frechet_mean(S: list[MeasureNetwork],
         if grad.loss < best[0]:
             best = (grad.loss, grad.base)
     return FrechetResult(network=best[1], loss=best[0], converged=converged,
-                         iterations=iterations, trace=tuple(trace),
-                         max_iters_exceeded=not converged)
+                         iterations=iterations, trace=tuple(trace))
 
 
 def _compress_log(X: MeasureNetwork, Y: MeasureNetwork,
@@ -258,14 +253,8 @@ def _compress_log(X: MeasureNetwork, Y: MeasureNetwork,
                   warm: np.ndarray | None = None
                   ) -> tuple[np.ndarray, float, np.ndarray]:
     gwp = _warm_params(gw_params, warm, (X.size, Y.size))
-    pair, coupling, _ = align(X, Y, gwp, coupling)
-    src = np.array(pair.plan.source_index)
-    u = np.array(pair.plan.u, dtype=float)
-    P = np.zeros((X.size, pair.size))
-    P[src, np.arange(pair.size)] = 1.0
-    P /= u[:, None]
-    f = pair.omega_yhat - pair.omega_xhat
-    v = P @ f @ P.T
+    pair, coupling = align(X, Y, gwp, coupling)
+    v = pair.plan.average(pair.omega_yhat - pair.omega_xhat)
     return v, aligned_distance(pair), coupling.matrix
 
 

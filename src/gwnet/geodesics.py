@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import Coupling, GwnetError, MeasureNetwork
-from .gw import GwParams
-from .alignment import (SUPPORT_REL_THRESHOLD, AlignedPair, aligned_distance,
-                        align)
-from .linear_ot import _support_mask
+from .gw import GwParams, _check_shapes
+from .alignment import AlignedPair, _support_mask, aligned_distance, align
 
 
 class OutOfRangeError(GwnetError):
@@ -53,7 +51,7 @@ def geodesic_aligned(X: MeasureNetwork, Y: MeasureNetwork,
     alignment; the path is a true geodesic exactly when the coupling is
     globally optimal.
     """
-    pair, _, _ = align(X, Y, params, coupling)
+    pair, _ = align(X, Y, params, coupling)
     return GeodesicRep(pair=pair, half_length=aligned_distance(pair))
 
 
@@ -65,12 +63,8 @@ def geodesic_naive(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling):
     (1 - t) omega_X(i, i') + t omega_Y(j, j'). Testing reference only.
     """
     mat = C.matrix
-    if mat.shape != (X.size, Y.size):
-        raise GwnetError(
-            f"coupling shape {mat.shape} does not match networks "
-            f"({X.size}, {Y.size})")
-    mask = _support_mask(mat, SUPPORT_REL_THRESHOLD * mat.max(initial=0.0))
-    src, tgt = np.nonzero(mask)
+    _check_shapes(X, Y, mat)
+    src, tgt = np.nonzero(_support_mask(mat))
     masses = mat[src, tgt].astype(float)
     masses /= masses.sum()
     wx = X.omega[np.ix_(src, src)]

@@ -5,12 +5,12 @@ The squared distortion of a coupling C is the four-index sum
     dis(C)^2 = sum_{i,j,k,l} (X_ik - Y_jl)^2 C_ij C_kl
 
 and the distance between networks is half the infimum of dis over the
-coupling polytope. distortion_tensor evaluates the sum literally (testing
-reference, O(n^2 m^2)); everything else uses the equivalent matrix form
+coupling polytope. The package evaluates it by the equivalent matrix form
 
     dis(C)^2 = <p, X.^2 p> + <q, Y.^2 q> - 2 <C, X C Y^T>
 
-which costs O(n^2 m + n m^2). The solver is Frank-Wolfe over the polytope:
+which costs O(n^2 m + n m^2) instead of O(n^2 m^2); the four-index sum
+itself is kept as a test oracle. The solver is Frank-Wolfe over the polytope:
 linearize at C, send the gradient to the exact transport subsolver, then
 take the exact minimizer of the 1-D quadratic along the segment toward the
 returned vertex V. Along D = V - C the objective is exactly
@@ -78,15 +78,6 @@ def _check_shapes(X: MeasureNetwork, Y: MeasureNetwork, C: np.ndarray):
 
 def _as_matrix(C) -> np.ndarray:
     return C.matrix if isinstance(C, Coupling) else np.asarray(C, dtype=float)
-
-
-def distortion_tensor(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
-    """Distortion of C by explicit four-index summation. Reference path."""
-    C = _as_matrix(C)
-    _check_shapes(X, Y, C)
-    L = (X.omega[:, None, :, None] - Y.omega[None, :, None, :]) ** 2
-    dis2 = float(np.einsum("ijkl,ij,kl->", L, C, C))
-    return float(np.sqrt(max(dis2, 0.0)))
 
 
 def _cross(A: np.ndarray, B: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -68,18 +68,6 @@ class OtProblem:
         object.__setattr__(self, "q", q)
 
 
-def _support_mask(x: np.ndarray, threshold: float) -> np.ndarray:
-    """Entries of x above threshold. Marginals are positive, so every row
-    and column carries mass: one that thresholding empties keeps its
-    largest entry."""
-    mask = x > threshold
-    for i in np.flatnonzero(~mask.any(axis=1)):
-        mask[i, int(np.argmax(x[i]))] = True
-    for j in np.flatnonzero(~mask.any(axis=0)):
-        mask[int(np.argmax(x[:, j])), j] = True
-    return mask
-
-
 def _initial_tree(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Matrix-minimum basis as a rooted spanning tree.
 

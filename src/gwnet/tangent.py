@@ -84,7 +84,7 @@ def log_map(X: MeasureNetwork, Y: MeasureNetwork,
     The direction depends on which optimal coupling the solver lands on;
     the solver itself is deterministic for fixed parameters.
     """
-    pair, _, _ = align(X, Y, params, coupling)
+    pair, _ = align(X, Y, params, coupling)
     base = pair.base_network()
     f = pair.omega_yhat - pair.omega_xhat
     return TangentVector(base=base, f=f, plan=pair.plan), pair
@@ -143,7 +143,8 @@ def tangent_to_dict(v: TangentVector) -> dict:
 
 def tangent_from_dict(d: dict) -> TangentVector:
     """Inverse of tangent_to_dict. Raises ParseError on missing or
-    non-numeric fields."""
+    non-numeric fields, and on a plan whose copy counts u and v or size
+    disagree with its indices and base."""
     if not isinstance(d, dict) or "base" not in d or "f" not in d:
         raise ParseError("tangent object needs 'base' and 'f' fields")
     base = network_from_dict(d["base"])
@@ -151,10 +152,14 @@ def tangent_from_dict(d: dict) -> TangentVector:
         f = np.array(d["f"], dtype=float)
         plan = None
         if "plan" in d:
-            p = d["plan"]
-            plan = BlowupPlan(*(tuple(operator.index(k) for k in p[key])
-                                for key in ("source_index", "target_index",
-                                            "u", "v")))
+            src, tgt, u, v = (tuple(operator.index(k) for k in d["plan"][key])
+                              for key in ("source_index", "target_index",
+                                          "u", "v"))
+            plan = BlowupPlan(src, tgt)
+            if (len(src), len(tgt)) != (base.size, base.size) \
+                    or (plan.u, plan.v) != (u, v):
+                raise ValueError("plan counts or size disagree with its "
+                                 "indices and base")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed tangent data: {exc!r}") from exc
     return TangentVector(base=base, f=f, plan=plan)

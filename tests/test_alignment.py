@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gwnet import (AlignedPair, Coupling, GwParams, GwnetError,
                    MeasureNetwork, align, aligned_distance, binarize, blow_up,
-                   expansion_coupling_source, expansion_coupling_target,
-                   gw_distance, solve_gw, support_size, to_vertex_coupling)
+                   distortion_matrix, expansion_coupling_source,
+                   expansion_coupling_target, gw_distance, random_vertex,
+                   solve_gw, support_size, to_vertex_coupling)
 from conftest import random_network
 from oracles import gw_objective
 
@@ -127,6 +129,44 @@ def test_aligned_distance_matches_solver_distance():
             report.gw_distance, rel=1e-9, abs=1e-12)
 
 
+@st.composite
+def _couplings(draw):
+    """Networks of 1-8 nodes with one mass down to 1e-12, and a random
+    vertex coupling, mixed with the product coupling in some draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def network(n):
+        mu = rng.random(n) + 0.1
+        mu[draw(st.integers(0, n - 1))] = 10.0 ** draw(st.floats(-12.0, 0.0))
+        return MeasureNetwork(rng.standard_normal((n, n)), mu / mu.sum())
+
+    X = network(draw(st.integers(1, 8)))
+    Y = network(draw(st.integers(1, 8)))
+    t = draw(st.just(0.0) | st.floats(0.0, 1.0))
+    C = (1 - t) * random_vertex(X.mu, Y.mu, rng) + t * np.outer(X.mu, Y.mu)
+    return X, Y, Coupling(C, X.mu, Y.mu), t == 0.0
+
+
+_TINY = np.array([1 - 1e-11, 1e-11])
+_TWO_X = MeasureNetwork(np.array([[0.0, 1.0], [2.0, 3.0]]), _TINY)
+_TWO_Y = MeasureNetwork(np.array([[1.0, 0.0], [0.0, -1.0]]), _TINY)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_couplings())
+@example((_TWO_X, _TWO_Y, Coupling(np.diag(_TINY), _TINY, _TINY), True))
+def test_property_blow_up_keeps_support_marginals_and_distortion(case):
+    X, Y, C, vertex = case
+    pair = blow_up(X, Y, C)
+    assert pair.size == support_size(C)
+    row_mass = np.bincount(pair.plan.source_index, weights=pair.mu_hat,
+                           minlength=X.size)
+    assert np.abs(row_mass - X.mu).max() <= 4 * np.finfo(float).eps
+    if vertex:
+        assert aligned_distance(pair) == pytest.approx(
+            distortion_matrix(X, Y, C) / 2, rel=1e-9, abs=1e-12)
+
+
 # --------------------------------------------------------- expansion plan
 
 def test_plan_expand_replays_the_replication(one_node, two_swap):
@@ -134,6 +174,9 @@ def test_plan_expand_replays_the_replication(one_node, two_swap):
     pair = blow_up(one_node, two_swap, C)
     assert np.array_equal(pair.plan.expand(np.array([[7.0]])),
                           np.full((2, 2), 7.0))
+    # and the block average takes it back over the 2 x 2 copy pairs
+    assert np.array_equal(pair.plan.average(np.arange(4.0).reshape(2, 2)),
+                          [[1.5]])
 
 
 def test_plan_expand_checks_shapes(one_node, two_swap):
@@ -188,7 +231,9 @@ def test_align_solves_rounds_and_expands():
     rng = np.random.default_rng(8)
     X = random_network(rng, 3)
     Y = random_network(rng, 4)
-    pair, C, report = align(X, Y, GwParams(restarts=4, rng_seed=0))
+    params = GwParams(restarts=4, rng_seed=0)
+    pair, C = align(X, Y, params)
+    _, report = solve_gw(X, Y, params)
     assert isinstance(pair, AlignedPair)
     # rounding is best effort: a fat support survives only when every
     # vertex proposal would regress the objective, in which case rounding
@@ -203,7 +248,13 @@ def test_align_solves_rounds_and_expands():
 
 def test_align_accepts_a_precomputed_coupling(one_node, two_swap):
     C = Coupling(np.array([[0.5, 0.5]]), one_node.mu, two_swap.mu)
-    pair, _, report = align(one_node, two_swap, coupling=C)
+    pair, coupling = align(one_node, two_swap, coupling=C)
+    assert coupling is C
+    # C is the only coupling of this pair, so a solve started there stays
+    _, report = solve_gw(one_node, two_swap,
+                         GwParams(init_coupling="given", given=C.matrix))
     assert report.iterations == 0
     assert report.gw_distance == pytest.approx(np.sqrt(0.5) / 2, abs=1e-15)
+    assert aligned_distance(pair) == pytest.approx(report.gw_distance,
+                                                   abs=1e-15)
     assert pair.size == 2

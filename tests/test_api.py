@@ -14,10 +14,18 @@ def test_removed_names_stay_removed():
     assert not hasattr(gwnet, "NotVertexCouplingError")
     assert "NotVertexCouplingError" not in gwnet.__all__
     assert not hasattr(gwnet.BlowupPlan, "expand_target")
+    # the copy counts u and v are derived from the indices, not stored
+    assert [f.name for f in fields(gwnet.BlowupPlan)] == [
+        "source_index", "target_index"]
     assert "lift" not in [f.name for f in fields(gwnet.FrechetGradient)]
     for name in ("FULL_STEPS", "ARMIJO_BETA", "ARMIJO_SIGMA"):
         assert not hasattr(gwnet.frechet, name), name
     assert "warm" not in inspect.signature(gwnet.frechet_loss).parameters
+    assert not hasattr(gwnet, "distortion_tensor")
+    assert "distortion_tensor" not in gwnet.__all__
+    assert not hasattr(gwnet.gw, "distortion_tensor")
+    assert "max_iters_exceeded" not in [
+        f.name for f in fields(gwnet.FrechetResult)]
 
 
 def test_solver_and_mean_settings():

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from gwnet import (GwParams, MeasureNetwork, featurize, gw_distance,
-                   read_network, tangent_pca, vectorize_at_base,
+import gwnet.cli
+from gwnet import (GwParams, GwnetError, MeasureNetwork, featurize,
+                   gw_distance, read_network, tangent_pca, vectorize_at_base,
                    write_network)
 from gwnet.cli import main
 
@@ -165,6 +166,30 @@ def test_featurize_command_round_trips_the_features(family_dir, tmp_path):
     assert [r[0] for r in rows[1:]] == ["groupA", "groupB", "net2", "net3"]
     got = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
     assert np.array_equal(got, feats)
+
+
+# ---------------------------------------------------------- solver flags
+
+@pytest.mark.parametrize("command", ["pca", "featurize", "compress"])
+def test_solver_flags_reach_the_library(command, family_dir, example_files,
+                                        monkeypatch):
+    seen = []
+
+    def capture(*args):
+        seen.append(args[-1])
+        raise GwnetError("captured")
+
+    monkeypatch.setattr(gwnet.cli, "vectorize_at_base", capture)
+    monkeypatch.setattr(gwnet.cli, "compressed_average", capture)
+    inputs = list(example_files) if command == "compress" \
+        else [str(family_dir[0])]
+    rc = main([command, *inputs, "--max-iters", "7", "--restarts", "3",
+               "--seed", "5"])
+    assert rc == 1
+    # compress hands over FrechetParams, the others GwParams
+    params = getattr(seen[0], "gw", seen[0])
+    assert (params.max_outer_iters, params.restarts, params.rng_seed) == \
+        (7, 3, 5)
 
 
 # --------------------------------------------------------------- sbm tools

@@ -193,6 +193,13 @@ def test_read_tangent_rejects_malformed_json(tmp_path):
     lambda d: d.__setitem__("f", [["a", "b", "c"]] * 3),
     lambda d: d["base"].__setitem__("omega", "abc"),
     lambda d: d["plan"].__setitem__("source_index", [0, "x", 1]),
+    # counts that disagree with the indices
+    lambda d: d["plan"].__setitem__("u", [5]),
+    # a consistent plan of one node for a two-node base
+    lambda d: d["plan"].update(source_index=[0], target_index=[0], u=[1],
+                               v=[1]),
+    # target indices for one node of a two-node base
+    lambda d: d["plan"].update(target_index=[0], v=[1]),
 ])
 def test_tangent_from_dict_rejects_missing_or_non_numeric_fields(
         edit, tmp_path, one_node, two_swap):
