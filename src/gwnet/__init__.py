@@ -22,7 +22,7 @@ from .alignment import (AlignedPair, BlowupPlan, aligned_distance, align,
                         expansion_coupling_target, support_size,
                         to_vertex_coupling)
 from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
-                        geodesic_aligned, geodesic_naive)
+                        geodesic_aligned)
 from .tangent import (BaseMismatchError, GeodesicCertificate, TangentVector,
                       exp_map, geodesic_certificate, injectivity_radius,
                       inner_product, log_map, norm, read_tangent,
@@ -53,7 +53,7 @@ __all__ = [
     "distortion_matrix", "evaluate", "exp_map",
     "expansion_coupling_source", "expansion_coupling_target", "featurize",
     "frechet_gradient", "frechet_loss", "frechet_mean", "generate_sbm",
-    "geodesic_aligned", "geodesic_certificate", "geodesic_naive",
+    "geodesic_aligned", "geodesic_certificate",
     "gw_distance", "gw_gradient", "injectivity_radius", "inner_product",
     "log_map", "network_from_dict", "network_to_dict", "norm",
     "northwest_corner", "project_along_component", "random_vertex",

@@ -122,7 +122,6 @@ def _cmd_geodesic(args) -> int:
 def _frechet_params(args) -> FrechetParams:
     return FrechetParams(max_iters=args.max_iters,
                          compress=args.compress,
-                         loss_tol=args.loss_tol,
                          gw=GwParams(restarts=args.restarts,
                                      rng_seed=args.seed))
 
@@ -299,11 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="serialization format for network outputs")
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--restarts", type=int, default=0,
-                        help="extra random starts for each solve")
+    restarts = argparse.ArgumentParser(add_help=False)
+    restarts.add_argument("--restarts", type=int, default=0,
+                          help="extra random starts for each solve")
+    solver = argparse.ArgumentParser(add_help=False, parents=[restarts])
     solver.add_argument("--max-iters", type=int, default=200,
-                        help="outer iteration cap")
+                        help="Frank-Wolfe iteration cap of each solve "
+                             "(default 200)")
 
     parser = argparse.ArgumentParser(
         prog="gwnet",
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the largest")
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("mean", parents=[common, solver],
+    p = sub.add_parser("mean", parents=[common, restarts],
                        help="iterative mean of a collection")
     p.add_argument("inputs", nargs="+",
                    help="network files or directories of them")
@@ -337,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random seed network of this size")
     p.add_argument("--compress", choices=("none", "to_seed_size"),
                    default="none")
-    p.add_argument("--loss-tol", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_mean, max_iters=100)
+    p.add_argument("--max-iters", type=int, default=100, help="mean iteration "
+                   "cap (default 100); each solve runs up to 200 Frank-Wolfe "
+                   "iterations")
+    p.set_defaults(func=_cmd_mean)
 
     p = sub.add_parser("compress", parents=[common, solver],
                        help="compressed average of X and Y at X's size")

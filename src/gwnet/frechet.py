@@ -9,8 +9,9 @@ end everything lives on one common base. The gradient there is
 
 whose zero is the entrywise arithmetic mean of the aligned members. The
 mean iteration steps the base weights by -TAU g, which lands exactly on
-that mean, and stops once the step would no longer move the base. Every
-solve is warm-started from the member's coupling of the previous iteration.
+that mean. It stops at the first iterate where that step would not move
+the base, the one stop it reports as converged, or at its cap. Every solve
+is warm-started from the member's coupling of the previous iteration.
 
 The compressed variants keep the base size fixed: the aligned difference
 is block-averaged over the copies of each base node before it is used,
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .networks import Coupling, GwnetError, MeasureNetwork, check_count
+from .networks import (Coupling, DimensionMismatchError, GwnetError,
+                       MeasureNetwork, check_count)
 from .gw import GwParams, solve_gw
 from .alignment import _expansion_matrix, align, aligned_distance
 from .tangent import TangentVector
@@ -33,21 +35,22 @@ from .tangent import TangentVector
 # loss while the alignments stay fixed.
 TAU = 0.5
 
+# Stationary: |g|^2_mu <= STATIONARY_TOL * loss. Measured stops sit at 1e-32
+# or less and other iterates at 1e-6 or more, so the exact value is moot.
+STATIONARY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class FrechetParams:
     """Knobs for the mean iteration.
 
-    Convergence is declared at the first iterate whose weighted squared
-    gradient is at most loss_tol times its loss, or when the relative loss
-    decrease stays below loss_tol for 3 consecutive iterations; the
-    iteration stops after max_iters steps in any case. compress
-    "to_seed_size" block-averages every log map down to the seed size so
-    the base never grows. gw configures every distance solve.
+    The iteration stops at the first stationary iterate, and after
+    max_iters steps in any case. compress "to_seed_size" block-averages
+    every log map down to the seed size so the base never grows. gw
+    configures every distance solve.
     """
 
     max_iters: int = 100
-    loss_tol: float = 1e-8
     compress: str = "none"
     gw: GwParams = field(default_factory=GwParams)
 
@@ -55,14 +58,23 @@ class FrechetParams:
         if self.compress not in ("none", "to_seed_size"):
             raise GwnetError(f"unknown compress {self.compress!r}")
         check_count(self.max_iters, "max_iters", 1)
-        if not self.loss_tol > 0:
-            raise GwnetError("loss_tol must be positive")
 
 
-def _warm_params(gw_params: GwParams, start: np.ndarray | None,
-                 shape: tuple[int, int]) -> GwParams:
-    """gw_params started from `start` when it is a coupling of `shape`."""
-    if start is None or start.shape != shape:
+def _check_warm(warm, X: MeasureNetwork, S: list[MeasureNetwork]) -> list:
+    """The warm starts as a new list, one coupling from X to each member,
+    or all None."""
+    if warm is None:
+        return [None] * len(S)
+    shapes = [np.shape(C) for C in warm]
+    if shapes != [(X.size, Y.size) for Y in S]:
+        raise DimensionMismatchError(
+            f"warm start shapes {shapes} do not match the members")
+    return list(warm)
+
+
+def _warm_params(gw_params: GwParams, start: np.ndarray | None) -> GwParams:
+    """gw_params started from the coupling `start`, if there is one."""
+    if start is None:
         return gw_params
     # a concrete start replaces multi-start: restarts add nothing but cost
     return replace(gw_params, init_coupling="given", given=start, restarts=0)
@@ -103,15 +115,15 @@ def sequential_log(X: MeasureNetwork, S: list[MeasureNetwork],
 
     Earlier members' aligned weights are replicated onto each expansion so
     the result is one common base plus one aligned weight matrix per
-    member. couplings starts as the warm starts and ends as each member's
-    coupling from the final base.
+    member. couplings starts as the warm starts, one coupling from X to
+    each member, and ends as each member's coupling from the final base.
     """
     base = X
     targets: list[np.ndarray] = []
-    couplings: list = list(warm) if warm is not None else [None] * len(S)
+    couplings = _check_warm(warm, X, S)
     distances: list[float] = []
     for k, Y in enumerate(S):
-        gwp = _warm_params(gw_params, couplings[k], (base.size, Y.size))
+        gwp = _warm_params(gw_params, couplings[k])
         pair, _ = align(base, Y, gwp)
         plan = pair.plan
         if pair.size != base.size:
@@ -119,9 +131,9 @@ def sequential_log(X: MeasureNetwork, S: list[MeasureNetwork],
             # the couplings of earlier members and the warm starts of later
             targets = [plan.expand(T) for T in targets]
             couplings = [
-                _lift_coupling(C, plan.source_index, base.mu, pair.mu_hat)
-                if j != k and C is not None and C.shape[0] == base.size
-                else C for j, C in enumerate(couplings)]
+                C if j == k or C is None
+                else _lift_coupling(C, plan.source_index, base.mu, pair.mu_hat)
+                for j, C in enumerate(couplings)]
         # the member's own coupling from the new base is the diagonal one
         couplings[k] = _expansion_matrix(plan.target_index, Y.size, pair).T
         targets.append(pair.omega_yhat)
@@ -153,8 +165,7 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
     params = params or FrechetParams()
     if params.compress == "to_seed_size":
         vs, distances, couplings = [], [], []
-        for k, Y in enumerate(S):
-            start = warm[k] if warm is not None else None
+        for Y, start in zip(S, _check_warm(warm, X, S)):
             v, d, mat = _compress_log(X, Y, params.gw, warm=start)
             vs.append(v)
             distances.append(d)
@@ -200,59 +211,43 @@ def frechet_mean(S: list[MeasureNetwork],
     seed may be a network, an integer size (a seeded random network of that
     size is used), or None for the first member. Every step of TAU lands
     exactly on the entrywise mean of the currently aligned members. The
-    iteration converges at the first iterate with |g|^2_mu <= loss_tol *
-    loss, where that step would not move the base (for an uncompressed
-    mean it would lower the loss by exactly |g|^2_mu / 16), or once the
-    loss has settled for 3 iterations. Returns the best iterate seen, with
-    converged False when neither happened within max_iters.
+    iteration stops at the first stationary iterate, with |g|^2_mu <=
+    STATIONARY_TOL * loss, where that step would not move the base (for an
+    uncompressed mean it would lower the loss by exactly |g|^2_mu / 16).
+    Iterates 0..max_iters are evaluated at most. Returns the best iterate
+    seen; converged is True exactly when the last evaluated iterate is
+    stationary.
     """
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
     X = _resolve_seed(S, seed, seed_rng)
-    warm: list | None = None
+    warm: tuple | None = None
     trace: list[tuple] = []
     best: tuple[float, MeasureNetwork] | None = None
-    loss_prev: float | None = None
-    settled = 0
-    converged = False
-    iterations = 0
 
-    for it in range(params.max_iters):
-        iterations = it + 1
+    for it in range(params.max_iters + 1):
         grad = frechet_gradient(S, X, params, warm=warm)
         loss, base, g = grad.loss, grad.base, grad.gradient.f
-        warm = list(grad.couplings)
+        warm = grad.couplings
         trace.append((it, loss, base.size))
         if best is None or loss < best[0]:
             best = (loss, base)
-        if float(base.mu @ (g * g) @ base.mu) <= params.loss_tol * loss:
-            # the full step would not move the base: stationary
-            converged = True
+        # stationary: the full step would not move the base
+        converged = float(base.mu @ (g * g) @ base.mu) <= STATIONARY_TOL * loss
+        if converged or it == params.max_iters:
             break
-        if loss_prev is not None:
-            rel = (loss_prev - loss) / max(abs(loss_prev), 1e-16)
-            settled = settled + 1 if rel < params.loss_tol else 0
-            if settled >= 3:
-                converged = True
-                break
-        loss_prev = loss
         X = base.with_omega(base.omega - TAU * g)
-    else:
-        # max_iters steps taken; the final one was never evaluated
-        grad = frechet_gradient(S, X, params, warm=warm)
-        trace.append((iterations, grad.loss, grad.base.size))
-        if grad.loss < best[0]:
-            best = (grad.loss, grad.base)
     return FrechetResult(network=best[1], loss=best[0], converged=converged,
-                         iterations=iterations, trace=tuple(trace))
+                         iterations=min(it + 1, params.max_iters),
+                         trace=tuple(trace))
 
 
 def _compress_log(X: MeasureNetwork, Y: MeasureNetwork,
                   gw_params: GwParams, coupling: Coupling | None = None,
                   warm: np.ndarray | None = None
                   ) -> tuple[np.ndarray, float, np.ndarray]:
-    gwp = _warm_params(gw_params, warm, (X.size, Y.size))
+    gwp = _warm_params(gw_params, warm)
     pair, coupling = align(X, Y, gwp, coupling)
     v = pair.plan.average(pair.omega_yhat - pair.omega_xhat)
     return v, aligned_distance(pair), coupling.matrix

@@ -2,19 +2,17 @@
 
 Linear interpolation of the aligned weight matrices traces a constant-speed
 shortest path between the endpoint classes: evaluate(t) carries the shared
-measure and the weights (1 - t) omega_xhat + t omega_yhat. The product-space
-construction over the coupling's support is kept as a testing reference;
-both yield the same networks node for node.
+measure and the weights (1 - t) omega_xhat + t omega_yhat. The
+product-space construction over the coupling's support, which yields the
+same networks node for node, is a test oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .networks import Coupling, GwnetError, MeasureNetwork
-from .gw import GwParams, _check_shapes
-from .alignment import AlignedPair, _support_mask, aligned_distance, align
+from .gw import GwParams
+from .alignment import AlignedPair, aligned_distance, align
 
 
 class OutOfRangeError(GwnetError):
@@ -54,25 +52,3 @@ def geodesic_aligned(X: MeasureNetwork, Y: MeasureNetwork,
     pair, _ = align(X, Y, params, coupling)
     return GeodesicRep(pair=pair, half_length=aligned_distance(pair))
 
-
-def geodesic_naive(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling):
-    """Reference geodesic on the coupling's support in the product space.
-
-    Returns a function t -> MeasureNetwork whose nodes are the support
-    entries (i, j) of C, with measure the coupling values and weights
-    (1 - t) omega_X(i, i') + t omega_Y(j, j'). Testing reference only.
-    """
-    mat = C.matrix
-    _check_shapes(X, Y, mat)
-    src, tgt = np.nonzero(_support_mask(mat))
-    masses = mat[src, tgt].astype(float)
-    masses /= masses.sum()
-    wx = X.omega[np.ix_(src, src)]
-    wy = Y.omega[np.ix_(tgt, tgt)]
-
-    def at(t: float) -> MeasureNetwork:
-        if not 0.0 <= t <= 1.0:
-            raise OutOfRangeError(f"t={t} outside [0, 1]")
-        return MeasureNetwork((1.0 - t) * wx + t * wy, masses)
-
-    return at

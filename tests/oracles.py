@@ -3,8 +3,11 @@
 Nothing here shares code with the package: the vertex enumeration walks
 spanning trees, the larger transport oracle calls scipy's HiGHS directly,
 the objective is the explicit four-index sum, gradients come from finite
-differences, and the PCA oracle is a dense decomposition in rescaled
-coordinates. Slow on purpose; keep sizes tiny.
+differences, the naive geodesic walks the coupling's support in the
+product space, and the PCA oracle is a dense decomposition in rescaled
+coordinates. Slow on purpose; keep sizes tiny. Only the naive geodesic
+touches gwnet, for its network type and errors, so that tests can use it
+in place of the library's geodesics.
 """
 from __future__ import annotations
 
@@ -12,6 +15,8 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+
+from gwnet import DimensionMismatchError, MeasureNetwork, OutOfRangeError
 
 
 def _tree_flows(edges, p, q, n, m):
@@ -184,6 +189,30 @@ def fd_gradient(X, Y, C, h=1e-6) -> np.ndarray:
             g[i, j] = (gw_objective(X, Y, up) - gw_objective(X, Y, dn)) \
                 / (2 * h)
     return g
+
+
+def geodesic_naive(X, Y, C):
+    """Reference geodesic on the coupling's support in the product space.
+
+    Returns a function t -> MeasureNetwork whose nodes are the support
+    entries (i, j) of C (those above 1e-9 times the largest, in
+    row-major order), with measure the coupling values and weights
+    (1 - t) omega_X(i, i') + t omega_Y(j, j').
+    """
+    mat = C.matrix
+    if mat.shape != (X.size, Y.size):
+        raise DimensionMismatchError(f"coupling shape {mat.shape}")
+    src, tgt = np.nonzero(mat > 1e-9 * mat.max())
+    masses = mat[src, tgt] / mat[src, tgt].sum()
+    wx = X.omega[np.ix_(src, src)]
+    wy = Y.omega[np.ix_(tgt, tgt)]
+
+    def at(t: float) -> MeasureNetwork:
+        if not 0.0 <= t <= 1.0:
+            raise OutOfRangeError(f"t={t} outside [0, 1]")
+        return MeasureNetwork((1.0 - t) * wx + t * wy, masses)
+
+    return at
 
 
 def dense_weighted_pca(rows, weights):

@@ -26,10 +26,13 @@ def test_removed_names_stay_removed():
     assert not hasattr(gwnet.gw, "distortion_tensor")
     assert "max_iters_exceeded" not in [
         f.name for f in fields(gwnet.FrechetResult)]
+    assert not hasattr(gwnet, "geodesic_naive")
+    assert "geodesic_naive" not in gwnet.__all__
+    assert not hasattr(gwnet.geodesics, "geodesic_naive")
 
 
 def test_solver_and_mean_settings():
     assert [f.name for f in fields(gwnet.GwParams)] == [
         "max_outer_iters", "init_coupling", "given", "restarts", "rng_seed"]
     assert [f.name for f in fields(gwnet.FrechetParams)] == [
-        "max_iters", "loss_tol", "compress", "gw"]
+        "max_iters", "compress", "gw"]

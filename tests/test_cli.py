@@ -192,6 +192,24 @@ def test_solver_flags_reach_the_library(command, family_dir, example_files,
         (7, 3, 5)
 
 
+def test_mean_flags_reach_the_mean(family_dir, monkeypatch):
+    seen = []
+
+    def capture(nets, params, **kwargs):
+        seen.append(params)
+        raise GwnetError("captured")
+
+    monkeypatch.setattr(gwnet.cli, "frechet_mean", capture)
+    rc = main(["mean", str(family_dir[0]), "--max-iters", "7", "--restarts",
+               "3", "--seed", "5"])
+    assert rc == 1
+    # on mean, --max-iters caps the mean iterations, not Frank-Wolfe
+    params = seen[0]
+    assert params.max_iters == 7
+    assert (params.gw.max_outer_iters, params.gw.restarts,
+            params.gw.rng_seed) == (200, 3, 5)
+
+
 # --------------------------------------------------------------- sbm tools
 
 def test_sbm_gen_writes_a_noiseless_draw(tmp_path, capsys):
@@ -269,7 +287,7 @@ def test_asym_sweep_writes_csv(tmp_path):
     ["mean", "{x}", "{y}", "--seed-size", "-2"],
     ["mean", "{x}", "{y}", "--seed-size", "0"],
     ["pca", "{x}", "{y}", "--components", "-1"],
-    ["mean", "{x}", "{y}", "--loss-tol", "nan"],
+    ["mean", "{x}", "{y}", "--max-iters", "0"],
     ["sbm-gen", "--variance", "nan"],
 ])
 def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,

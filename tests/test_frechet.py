@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from gwnet import (Coupling, FrechetParams, GwParams, GwnetError,
-                   MeasureNetwork, compress_log, compressed_average,
+import gwnet.frechet
+from gwnet import (Coupling, DimensionMismatchError, FrechetGradient,
+                   FrechetParams, GwParams, GwnetError, MeasureNetwork,
+                   TangentVector, compress_log, compressed_average,
                    frechet_gradient, frechet_loss, frechet_mean, gw_distance,
-                   inner_product, uniform_network)
+                   inner_product, sequential_log, uniform_network)
 
 from conftest import random_network
 
@@ -106,6 +108,25 @@ def test_gradient_rejects_an_empty_collection(two_swap):
         frechet_gradient([], two_swap)
 
 
+@pytest.mark.parametrize("compress", ["none", "to_seed_size"])
+def test_warm_starts_must_match_the_members(compress):
+    rng = np.random.default_rng(44)
+    X = random_network(rng, 4)
+    S = [random_network(rng, 3) for _ in range(2)]
+    params = FrechetParams(compress=compress)
+    product = np.full((4, 3), 1 / 12)
+    grad = frechet_gradient(S, X, params, warm=[product, product])
+    assert len(grad.couplings) == 2
+    # rows to fit the base once the first member has expanded it
+    grown = sequential_log(X, S[:1], params.gw, warm=[product]).base.size
+    for warm in ([product], [product] * 3, [product, product[:3]],
+                 [product, np.full((grown, 3), 1 / (3 * grown))]):
+        with pytest.raises(DimensionMismatchError):
+            frechet_gradient(S, X, params, warm=warm)
+        with pytest.raises(DimensionMismatchError):
+            sequential_log(X, S, params.gw, warm=warm)
+
+
 # -------------------------------------------------------------------- mean
 
 def test_mean_of_the_one_node_pair_is_the_midpoint(one_node, two_swap):
@@ -145,6 +166,33 @@ def test_mean_of_two_aligned_members_is_their_entrywise_mean():
     assert result.converged
     # one full step lands on the mean, where the second evaluation stops
     assert result.iterations == 2
+
+
+def test_mean_stationary_at_the_cap_is_converged():
+    rng = np.random.default_rng(37)
+    A = random_network(rng, 3)
+    B = A.with_omega(A.omega + 0.05 * rng.standard_normal((3, 3)))
+    result = frechet_mean([A, B], FrechetParams(max_iters=1, gw=IDENTITY_GW))
+    # the one step lands on the mean, and the cap iterate is tested too
+    assert result.converged
+    assert result.iterations == 1
+    assert len(result.trace) == 2
+
+
+def test_mean_that_never_becomes_stationary_is_not_converged(monkeypatch):
+    rng = np.random.default_rng(45)
+    X = random_network(rng, 3)
+
+    def flat(S, Z, params=None, warm=None):
+        # the loss never moves, yet the gradient never vanishes
+        return FrechetGradient(gradient=TangentVector(Z, np.ones((3, 3))),
+                               base=Z, targets=(), loss=1.0, couplings=())
+
+    monkeypatch.setattr(gwnet.frechet, "frechet_gradient", flat)
+    result = frechet_mean([X], FrechetParams(max_iters=10))
+    assert not result.converged
+    assert result.iterations == 10
+    assert len(result.trace) == 11
 
 
 def test_mean_of_mixed_sizes_returns_the_best_iterate():
@@ -216,9 +264,6 @@ def test_params_are_validated(two_swap):
     for count in (0, 2.5, float("nan")):
         with pytest.raises(GwnetError):
             FrechetParams(max_iters=count)
-    for tol in (0.0, -1.0, float("nan")):
-        with pytest.raises(GwnetError):
-            FrechetParams(loss_tol=tol)
     for size in (0, -1, 2.5, float("nan"), "3"):
         with pytest.raises(GwnetError):
             frechet_mean([two_swap], seed=size)

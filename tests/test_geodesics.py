@@ -3,9 +3,10 @@ import pytest
 
 from gwnet import (Coupling, GeodesicRep, GwParams, MeasureNetwork,
                    OutOfRangeError, blow_up, evaluate, geodesic_aligned,
-                   geodesic_naive, gw_distance, solve_gw)
+                   gw_distance, solve_gw)
 
 from conftest import random_network
+from oracles import geodesic_naive
 
 
 def _one_node_geodesic(one_node, two_swap):

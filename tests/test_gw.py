@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gwnet import (Coupling, GwParams, GwnetError, MeasureNetwork,
-                   distortion_matrix, gw_distance, gw_gradient,
-                   northwest_corner, random_vertex, solve_gw)
-from gwnet.gw import _cross, _line_step
+                   NegativeRadicandError, distortion_matrix, gw_distance, gw_gradient,
+                   northwest_corner, random_vertex, solve_gw,
+                   uniform_network)
+from gwnet.gw import _cross, _line_step, _objective
 
 from conftest import psd_network, random_network
 from oracles import brute_min_gw, fd_gradient, gw_objective
@@ -74,6 +75,23 @@ def test_dimension_mismatch_raises(one_node, two_swap):
         distortion_matrix(one_node, two_swap, np.array([[1.0]]))
     with pytest.raises(GwnetError):
         gw_gradient(one_node, two_swap, np.array([[1.0]]))
+
+
+def test_negative_radicand_raises_a_typed_error(two_swap):
+    # 10 I is not a coupling: the radicand is 1 - 2 * 200 = -399
+    with pytest.raises(NegativeRadicandError):
+        distortion_matrix(two_swap, two_swap, 10.0 * np.eye(2))
+
+
+def test_rounding_below_zero_at_scale_is_clamped():
+    # 1e8-scale weights against themselves: the radicand rounds to -2.0
+    # against a constant of about 1.7e16, which the clamp absorbs
+    rng = np.random.default_rng(0)
+    n = rng.integers(2, 8)
+    X = uniform_network(1e8 * rng.standard_normal((n, n)))
+    C = np.diag(X.mu)
+    assert _objective(X, X, C)[0] < 0
+    assert distortion_matrix(X, X, C) == 0.0
 
 
 # --------------------------------------------------------------- gradient
