@@ -19,8 +19,7 @@ from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
                  solve_gw)
 from .alignment import (AlignedPair, BlowupPlan, aligned_distance, align,
                         binarize, blow_up, expansion_coupling_source,
-                        expansion_coupling_target, support_size,
-                        to_vertex_coupling)
+                        expansion_coupling_target, support_size)
 from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
                         geodesic_aligned)
 from .tangent import (BaseMismatchError, GeodesicCertificate, TangentVector,

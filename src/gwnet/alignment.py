@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import Coupling, GwnetError, MeasureNetwork
-from .gw import (GwParams, _as_matrix, _check_shapes, _cross, _objective,
-                 solve_gw)
-from .linear_ot import OtProblem, solve_linear_ot
+from .gw import GwParams, _as_matrix, _check_shapes, solve_gw
 
 # entries below this fraction of the largest one are treated as zeros;
 # line searches leave dust that must not spawn spurious node copies
@@ -133,8 +131,9 @@ def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
 
     Masses are renormalized per source row so that the copies of each X
     node reproduce its measure exactly. The construction succeeds for any
-    finitely supported coupling; on a vertex coupling the expanded size is
-    at most n + m - 1.
+    finitely supported coupling, and makes support_size(C) nodes: at most
+    n + m - 1 on a vertex coupling and up to n * m on an interior one,
+    which is not thinned first.
     """
     mat = C.matrix
     _check_shapes(X, Y, mat)
@@ -159,36 +158,14 @@ def aligned_distance(pair: AlignedPair) -> float:
     return float(np.sqrt(max(dis2, 0.0))) / 2.0
 
 
-def to_vertex_coupling(X: MeasureNetwork, Y: MeasureNetwork,
-                       C: Coupling) -> Coupling:
-    """Round a converged coupling to a polytope vertex when possible.
-
-    Line searches can stop at interior points whose support exceeds
-    n + m - 1. Re-solving the linear problem with the current gradient as
-    cost proposes a vertex; it is accepted only if the quadratic objective
-    does not regress, otherwise the original coupling is kept.
-    """
-    n, m = C.shape
-    if support_size(C) <= n + m - 1:
-        return C
-    # the gradient as solve_gw sends it, without its marginal terms
-    G = -2.0 * _cross(X.omega, Y.omega, C.matrix)
-    V, _ = solve_linear_ot(OtProblem(G, X.mu, Y.mu))
-    J_c = _objective(X, Y, C.matrix)[0]
-    J_v = _objective(X, Y, V.matrix)[0]
-    if J_v <= J_c + 1e-9 * max(abs(J_c), 1.0):
-        return V
-    return C
-
-
 def align(X: MeasureNetwork, Y: MeasureNetwork,
           params: GwParams | None = None,
           coupling: Coupling | None = None) -> tuple[AlignedPair, Coupling]:
-    """Solve for a coupling (unless given), vertex-round it, and blow up.
-    Returns the aligned pair and the coupling it expands."""
+    """Solve for a coupling (unless given) and blow it up. Returns the
+    aligned pair and the coupling it expands; a given coupling is expanded
+    as passed."""
     if coupling is None:
         coupling, _ = solve_gw(X, Y, params)
-    coupling = to_vertex_coupling(X, Y, coupling)
     return blow_up(X, Y, coupling), coupling
 
 

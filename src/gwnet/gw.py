@@ -18,7 +18,10 @@ J + <G, D> t + <G(D), D> t^2 / 2 and the gradient G + t G(D), with
 G(M) = -2 (X M Y^T + X^T M Y) (both terms, as weights may be asymmetric):
 the marginal terms of the full gradient are row and column constants on
 the polytope, so they move no LP argmin and vanish against D. One operator
-call per iteration thus gives both the step and the next gradient.
+call per iteration thus gives both the step and the next gradient. On a
+flat segment (every point ties) the step goes all the way to the vertex,
+so a solve that meets one ends on a vertex, with at most n + m - 1
+support entries.
 """
 from __future__ import annotations
 
@@ -177,10 +180,11 @@ def _initial_couplings(X, Y, params: GwParams) -> list[np.ndarray]:
 
 
 def _line_step(a: float, b: float) -> float:
-    """Minimizer over [0,1] of t -> a t^2 + b t."""
+    """Minimizer over [0,1] of t -> a t^2 + b t. When a <= 0 the minimum
+    is at an end; on a tie, as on a flat segment, it is the vertex end."""
     if a > 0:
         return min(1.0, max(0.0, -b / (2.0 * a)))
-    return 1.0 if a + b < 0 else 0.0
+    return 1.0 if a + b <= 0 else 0.0
 
 
 def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
@@ -189,10 +193,13 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
 
     Each outer iteration solves the exact linear transport problem with the
     current gradient as cost, then minimizes the objective on the segment
-    toward the returned vertex. The objective trace is non-increasing; the
-    reported distance is an upper bound on the true one, tight when a global
-    minimizer is found. With restarts > 0, extra seeded random-vertex starts
-    are run and the best final objective wins.
+    toward the returned vertex. A solve stops when the LP returns the
+    current coupling or a step stops lowering the objective; a flat segment
+    is stepped to its end, so a solve that meets one ends on a vertex. The
+    objective trace is non-increasing; the reported distance is an upper
+    bound on the true one, tight when a global minimizer is found. With
+    restarts > 0, extra seeded random-vertex starts are run and the best
+    final objective wins.
     """
     params = params or GwParams()
     A, B = X.omega, Y.omega
@@ -209,6 +216,9 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
         for _ in range(params.max_outer_iters):
             V, _ = solve_linear_ot(OtProblem(G, p, q), basis)
             D = V.matrix - C
+            if not D.any():     # C is the vertex the LP returns
+                converged = True
+                break
             G_D = -2.0 * _cross(A, B, D)
             # J(C + t D) = J + b t + a t^2 and G(C + t D) = G + t G_D
             b = float(np.sum(G * D))

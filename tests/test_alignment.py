@@ -6,9 +6,8 @@ from gwnet import (AlignedPair, Coupling, GwParams, GwnetError,
                    MeasureNetwork, align, aligned_distance, binarize, blow_up,
                    distortion_matrix, expansion_coupling_source,
                    expansion_coupling_target, gw_distance, random_vertex,
-                   solve_gw, support_size, to_vertex_coupling)
+                   solve_gw, support_size)
 from conftest import random_network
-from oracles import gw_objective
 
 
 # -------------------------------------------------------------- binarize
@@ -203,31 +202,9 @@ def test_expansion_couplings_certify_zero_distance():
         assert d <= 1e-6
 
 
-# ----------------------------------------------------- to_vertex_coupling
-
-def test_to_vertex_coupling_keeps_vertices_untouched():
-    rng = np.random.default_rng(7)
-    X = random_network(rng, 3, uniform_mu=False)
-    Y = random_network(rng, 4, uniform_mu=False)
-    C, _ = solve_gw(X, Y, GwParams(rng_seed=0))
-    if support_size(C) <= X.size + Y.size - 1:
-        assert to_vertex_coupling(X, Y, C) is C
-
-
-def test_to_vertex_coupling_thins_the_product_coupling(two_swap):
-    X = two_swap
-    Y = MeasureNetwork(np.array([[0.0, 2.0], [2.0, 0.0]]), two_swap.mu)
-    C = Coupling(np.outer(X.mu, Y.mu), X.mu, Y.mu)
-    V = to_vertex_coupling(X, Y, C)
-    assert support_size(V) <= 3
-    J_c = gw_objective(X.omega, Y.omega, C.matrix)
-    J_v = gw_objective(X.omega, Y.omega, V.matrix)
-    assert J_v <= J_c + 1e-9 * max(abs(J_c), 1.0)
-
-
 # ------------------------------------------------------------------ align
 
-def test_align_solves_rounds_and_expands():
+def test_align_solves_and_expands():
     rng = np.random.default_rng(8)
     X = random_network(rng, 3)
     Y = random_network(rng, 4)
@@ -235,11 +212,6 @@ def test_align_solves_rounds_and_expands():
     pair, C = align(X, Y, params)
     _, report = solve_gw(X, Y, params)
     assert isinstance(pair, AlignedPair)
-    # rounding is best effort: a fat support survives only when every
-    # vertex proposal would regress the objective, in which case rounding
-    # again is a no-op
-    if support_size(C) > X.size + Y.size - 1:
-        assert to_vertex_coupling(X, Y, C) is C
     assert pair.size == support_size(C)
     assert report.converged
     assert aligned_distance(pair) == pytest.approx(
@@ -258,3 +230,16 @@ def test_align_accepts_a_precomputed_coupling(one_node, two_swap):
     assert aligned_distance(pair) == pytest.approx(report.gw_distance,
                                                    abs=1e-15)
     assert pair.size == 2
+
+
+def test_align_blows_up_a_given_coupling_as_passed(two_swap):
+    # a given interior coupling is not thinned: the product coupling of two
+    # 2-node networks expands to all 4 entries
+    X = two_swap
+    Y = MeasureNetwork(np.array([[0.0, 2.0], [2.0, 0.0]]), two_swap.mu)
+    C = Coupling(np.outer(X.mu, Y.mu), X.mu, Y.mu)
+    pair, coupling = align(X, Y, coupling=C)
+    assert coupling is C
+    assert pair.size == 4
+    assert aligned_distance(pair) == pytest.approx(
+        distortion_matrix(X, Y, C) / 2, abs=1e-12)

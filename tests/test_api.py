@@ -10,6 +10,12 @@ def test_every_public_name_resolves():
         assert hasattr(gwnet, name), name
 
 
+def test_every_public_attribute_is_listed():
+    public = {name for name, obj in vars(gwnet).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public <= set(gwnet.__all__)
+
+
 def test_removed_names_stay_removed():
     assert not hasattr(gwnet, "NotVertexCouplingError")
     assert "NotVertexCouplingError" not in gwnet.__all__
@@ -29,6 +35,9 @@ def test_removed_names_stay_removed():
     assert not hasattr(gwnet, "geodesic_naive")
     assert "geodesic_naive" not in gwnet.__all__
     assert not hasattr(gwnet.geodesics, "geodesic_naive")
+    assert not hasattr(gwnet, "to_vertex_coupling")
+    assert "to_vertex_coupling" not in gwnet.__all__
+    assert not hasattr(gwnet.alignment, "to_vertex_coupling")
 
 
 def test_solver_and_mean_settings():

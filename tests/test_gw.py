@@ -4,7 +4,7 @@ import pytest
 from gwnet import (Coupling, GwParams, GwnetError, MeasureNetwork,
                    NegativeRadicandError, distortion_matrix, gw_distance, gw_gradient,
                    northwest_corner, random_vertex, solve_gw,
-                   uniform_network)
+                   support_size, uniform_network)
 from gwnet.gw import _cross, _line_step, _objective
 
 from conftest import psd_network, random_network
@@ -173,6 +173,8 @@ def test_line_step_cases():
     assert _line_step(-1.0, 2.0) == 0.0
     assert _line_step(0.0, -1.0) == 1.0      # linear decreasing
     assert _line_step(0.0, 1.0) == 0.0
+    assert _line_step(0.0, 0.0) == 1.0       # flat: the vertex end
+    assert _line_step(-1.0, 1.0) == 1.0      # concave tie: the vertex end
 
 
 # ----------------------------------------------------------------- solver
@@ -182,6 +184,24 @@ def test_solver_one_node_gives_product(one_node, two_swap):
     assert np.array_equal(C.matrix, np.array([[0.5, 0.5]]))
     assert report.gw_distance == pytest.approx(0.35355, abs=1e-5)
     assert report.converged
+
+
+def test_solver_ends_flat_solves_on_a_vertex(two_swap):
+    # every coupling of a constant network ties, so FW meets only flat
+    # segments; the second pair is non-uniform and goes through the simplex
+    rng = np.random.default_rng(31)
+    flat_pairs = [
+        (MeasureNetwork(np.ones((2, 2)), np.full(2, 0.5)), two_swap),
+        (MeasureNetwork(np.zeros((3, 3)), np.full(3, 1 / 3)),
+         MeasureNetwork(rng.standard_normal((7, 7)),
+                        rng.dirichlet(np.ones(7))))]
+    for X, Y in flat_pairs:
+        C, report = solve_gw(X, Y)
+        assert support_size(C) <= X.size + Y.size - 1
+        assert report.converged
+        product = np.outer(X.mu, Y.mu)
+        assert report.gw_distance == pytest.approx(
+            distortion_matrix(X, Y, product) / 2, abs=1e-12)
 
 
 def test_solver_identical_networks_reach_zero():
