@@ -24,7 +24,7 @@ prev = evaluate(g, ts[0])
 for t in ts[1:]:
     cur = evaluate(g, t)
     d = gw_distance(prev, cur,
-                    GwParams(init_coupling="given", given=np.diag(prev.mu)))
+                    GwParams(given=np.diag(prev.mu)))
     print(f"d(path({t - 0.25:.2f}), path({t:.2f})) = {d:.6f}   "
           f"expected {0.25 * g.half_length:.6f}")
     prev = cur

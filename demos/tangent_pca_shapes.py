@@ -24,8 +24,7 @@ for _ in range(12):
     family.append(base.with_omega(base.omega + a * d1 + b * d2))
 
 # ------------------------------------------------------------------- pca
-ds = vectorize_at_base(base, family,
-                       GwParams(init_coupling="identity_block"))
+ds = vectorize_at_base(base, family, GwParams(given=np.diag(base.mu)))
 result = tangent_pca(ds)
 print("explained variance ratios:",
       np.round(result.explained_variance_ratios, 4))

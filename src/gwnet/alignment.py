@@ -19,20 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import Coupling, GwnetError, MeasureNetwork
-from .gw import GwParams, _as_matrix, _check_shapes, solve_gw
+from .gw import GwParams, _as_matrix, solve_gw
 
 # entries below this fraction of the largest one are treated as zeros;
 # line searches leave dust that must not spawn spurious node copies
 SUPPORT_REL_THRESHOLD = 1e-9
 
 
-def _support_mask(x: np.ndarray, threshold: float | None = None) -> np.ndarray:
-    """Entries of x above threshold, by default SUPPORT_REL_THRESHOLD times
-    the largest entry. Marginals are positive, so every row and column
-    carries mass: one that thresholding empties keeps its largest entry."""
-    if threshold is None:
-        threshold = SUPPORT_REL_THRESHOLD * x.max(initial=0.0)
-    mask = x > threshold
+def _support_mask(x: np.ndarray) -> np.ndarray:
+    """Entries of x above SUPPORT_REL_THRESHOLD times the largest entry.
+    Marginals are positive, so every row and column carries mass: one that
+    thresholding empties keeps its largest entry."""
+    mask = x > SUPPORT_REL_THRESHOLD * x.max(initial=0.0)
     for i in np.flatnonzero(~mask.any(axis=1)):
         mask[i, int(np.argmax(x[i]))] = True
     for j in np.flatnonzero(~mask.any(axis=0)):
@@ -40,14 +38,14 @@ def _support_mask(x: np.ndarray, threshold: float | None = None) -> np.ndarray:
     return mask
 
 
-def binarize(C, threshold: float | None = None) -> np.ndarray:
+def binarize(C) -> np.ndarray:
     """0/1 support indicator of a coupling."""
-    return _support_mask(_as_matrix(C), threshold).astype(float)
+    return _support_mask(_as_matrix(C)).astype(float)
 
 
-def support_size(C, threshold: float | None = None) -> int:
+def support_size(C) -> int:
     """Number of coupling entries in the support: the size of its blow-up."""
-    return int(binarize(C, threshold).sum())
+    return int(binarize(C).sum())
 
 
 @dataclass(frozen=True)
@@ -129,14 +127,13 @@ class AlignedPair:
 def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
     """Expand a coupling of X and Y into an aligned pair.
 
-    Masses are renormalized per source row so that the copies of each X
-    node reproduce its measure exactly. The construction succeeds for any
-    finitely supported coupling, and makes support_size(C) nodes: at most
-    n + m - 1 on a vertex coupling and up to n * m on an interior one,
-    which is not thinned first.
+    C must be a coupling of (mu_X, mu_Y); its matrix is checked against
+    the two measures. Masses are renormalized per source row so that the
+    copies of each X node reproduce its measure exactly. The expansion has
+    support_size(C) nodes: at most n + m - 1 on a vertex coupling and up
+    to n * m on an interior one, which is not thinned first.
     """
-    mat = C.matrix
-    _check_shapes(X, Y, mat)
+    mat = Coupling(C.matrix, X.mu, Y.mu).matrix
     src, tgt = np.nonzero(_support_mask(mat))  # ascending target per row
     masses = mat[src, tgt].astype(float)
     # exact mass preservation per source node

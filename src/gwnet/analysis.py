@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import GwnetError, MeasureNetwork
+from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams
 from .frechet import sequential_log
 from .tangent import exp_map, TangentVector
@@ -76,13 +76,13 @@ def tangent_pca(ds: TangentDataset,
     of centered rows, and lifts eigenvectors back to weighted-unit
     directions. Degenerate data (all rows equal) yields a result with no
     components rather than an error. num_components caps how many are kept
-    (None keeps all, 0 none); a negative count raises GwnetError.
+    (None keeps all, 0 none); anything but a count >= 0 raises GwnetError.
     """
     k = ds.count
     if k < 2:
         raise GwnetError("need at least 2 networks for principal components")
-    if num_components is not None and num_components < 0:
-        raise GwnetError(f"num_components must be >= 0, got {num_components}")
+    if num_components is not None:
+        num_components = check_count(num_components, "num_components", 0)
     mean = ds.vectors.mean(axis=0)
     centered = ds.vectors - mean
     gram = (centered * ds.weights) @ centered.T

@@ -232,8 +232,6 @@ def _cmd_sbm_gen(args) -> int:
 
 
 def _cmd_sbm_experiment(args) -> int:
-    if args.runs < 1:
-        raise GwnetError("--runs must be at least 1")
     report = sbm_compression_experiment(_sbm_spec(args), n_runs=args.runs,
                                         bound=args.bound, rng_seed=args.seed)
     rows = [{"seed": r.seed, "maxDeviation": r.max_deviation,

@@ -7,6 +7,7 @@ reproducible bit for bit from (spec, seed) within this implementation.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,9 @@ def sbm_compression_experiment(spec: SbmSpec, n_runs: int = 20,
     entry carries a standard error of sqrt(v) / s / 2, about 0.056 at the
     default spec.
     """
+    n_runs = check_count(n_runs, "n_runs", 1)
+    if not (isinstance(bound, numbers.Real) and bound >= 0):
+        raise GwnetError(f"bound must be a number >= 0, got {bound!r}")
     B = spec.num_blocks
     target = spec.means / 2.0
     zeros = MeasureNetwork(np.zeros((B, B)), np.full(B, 1.0 / B))
@@ -165,14 +169,12 @@ def sbm_compression_experiment(spec: SbmSpec, n_runs: int = 20,
                      pass_count=sum(r.passed for r in runs), bound=bound)
 
 
-def support_size_sweep(sizes, trials: int, rng_seed: int = 0,
-                       gw_params: GwParams | None = None) -> list[dict]:
-    """Support sizes of solved couplings between pairs of standard normal
-    weight networks with uniform measures.
+def support_size_sweep(sizes, trials: int, rng_seed: int = 0) -> list[dict]:
+    """Support sizes of couplings solved at the default GwParams() between
+    pairs of standard normal weight networks with uniform measures.
 
     Rows: n, trial, support_size, ratio (support divided by 2n). The
-    support is measured on the solved coupling, which the alignment
-    pipeline blows up as it is.
+    support is the node count of the coupling's blow-up.
     """
     sizes = [check_count(n, "size", 1) for n in sizes]
     trials = check_count(trials, "trials", 1)
@@ -183,8 +185,7 @@ def support_size_sweep(sizes, trials: int, rng_seed: int = 0,
         for trial in range(trials):
             X = MeasureNetwork(rng.standard_normal((n, n)), mu)
             Y = MeasureNetwork(rng.standard_normal((n, n)), mu)
-            params = gw_params or GwParams()
-            coupling, _ = solve_gw(X, Y, params)
+            coupling, _ = solve_gw(X, Y)
             s = support_size(coupling)
             rows.append({"n": n, "trial": trial, "support_size": s,
                          "ratio": s / (2.0 * n)})

@@ -77,7 +77,7 @@ def _warm_params(gw_params: GwParams, start: np.ndarray | None) -> GwParams:
     if start is None:
         return gw_params
     # a concrete start replaces multi-start: restarts add nothing but cost
-    return replace(gw_params, init_coupling="given", given=start, restarts=0)
+    return replace(gw_params, given=start, restarts=0)
 
 
 def frechet_loss(S: list[MeasureNetwork], Z: MeasureNetwork,

@@ -48,27 +48,19 @@ class GwParams:
     """Knobs for the outer solver.
 
     Every iteration steps to the exact minimizer of the objective on the
-    segment toward the new vertex. init_coupling is "product",
-    "identity_block" (northwest-corner vertex in natural node order, the
-    diagonal when the marginals agree) or "given" with the start supplied
-    in `given`. restarts adds that many extra starts from seeded random
+    segment toward the new vertex. A solve starts from `given`, which must
+    be a coupling of the two networks' measures, or else from the product
+    coupling. restarts adds that many extra starts from seeded random
     vertices; the best final objective wins.
     """
 
     max_outer_iters: int = 200
-    init_coupling: str = "product"
     given: np.ndarray | None = None
     restarts: int = 0
     rng_seed: int = 0
 
     def __post_init__(self):
         check_count(self.max_outer_iters, "max_outer_iters", 1)
-        if self.init_coupling not in ("product", "identity_block", "given"):
-            raise GwnetError(f"unknown init_coupling {self.init_coupling!r}")
-        if (self.init_coupling == "given") != (self.given is not None):
-            raise GwnetError(
-                "the `given` matrix goes with init_coupling 'given' and "
-                "only with it")
         check_count(self.restarts, "restarts", 0)
 
 
@@ -162,18 +154,10 @@ def random_vertex(p: np.ndarray, q: np.ndarray, rng: np.random.Generator) -> np.
 
 def _initial_couplings(X, Y, params: GwParams) -> list[np.ndarray]:
     p, q = X.mu, Y.mu
-    if params.init_coupling == "product":
+    if params.given is None:
         starts = [np.outer(p, q)]
-    elif params.init_coupling == "identity_block":
-        if X.size != Y.size:
-            raise GwnetError(
-                "identity_block initialization needs same-size networks; "
-                f"got {X.size} and {Y.size}")
-        starts = [northwest_corner(p, q)]
     else:
-        given = np.asarray(params.given, dtype=float)
-        _check_shapes(X, Y, given)
-        starts = [given]
+        starts = [Coupling(params.given, p, q).matrix]
     rng = np.random.default_rng(params.rng_seed)
     starts += [random_vertex(p, q, rng) for _ in range(params.restarts)]
     return starts

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gwnet import MeasureNetwork
+from gwnet import GwParams, MeasureNetwork
 
 # PASS/FAIL lines recorded by the end-to-end guarantee tests; replayed
 # after the run so they stay visible without -s.
@@ -48,3 +48,8 @@ def psd_network(rng, n, uniform_mu=True):
     a = rng.standard_normal((n, n))
     net = random_network(rng, n, uniform_mu=uniform_mu)
     return MeasureNetwork(a @ a.T, net.mu)
+
+
+def diagonal_start(net):
+    """Solver settings that start from the identity coupling diag(mu)."""
+    return GwParams(given=np.diag(net.mu))

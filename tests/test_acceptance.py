@@ -113,9 +113,7 @@ def test_geodesic_interpolation_distances():
             for b in range(a + 1, len(ts)):
                 s, t = ts[a], ts[b]
                 A, B = evaluate(g, s), evaluate(g, t)
-                measured = gw_distance(
-                    A, B, GwParams(init_coupling="given",
-                                   given=np.diag(A.mu)))
+                measured = gw_distance(A, B, GwParams(given=np.diag(A.mu)))
                 worst = max(worst, abs(measured - (t - s) * d))
 
     worst_ub = 0.0
@@ -127,9 +125,7 @@ def test_geodesic_interpolation_distances():
             for b in range(a + 1, len(ts)):
                 s, t = ts[a], ts[b]
                 A, B = evaluate(g, s), evaluate(g, t)
-                measured = gw_distance(
-                    A, B, GwParams(init_coupling="given",
-                                   given=np.diag(A.mu)))
+                measured = gw_distance(A, B, GwParams(given=np.diag(A.mu)))
                 worst_ub = max(worst_ub,
                                measured - (t - s) * g.half_length)
     ok = worst <= 1e-6 and worst_ub <= 1e-6
@@ -149,8 +145,7 @@ def test_exp_undoes_log_across_random_pairs():
         v, pair = log_map(X, Y, GwParams(restarts=2, rng_seed=0))
         Z = exp_map(v)
         C = expansion_coupling_target(Y, pair)
-        d = gw_distance(Y, Z, GwParams(init_coupling="given",
-                                       given=C.matrix))
+        d = gw_distance(Y, Z, GwParams(given=C.matrix))
         worst = max(worst, d)
     ok = worst <= 1e-7
     assert _report("exp/log round trip", ok,
@@ -163,7 +158,7 @@ def test_mean_gradient_vanishes_and_descent_returns():
     members = [A.with_omega(A.omega + 0.05 * rng.standard_normal((4, 4)))
                for _ in range(3)]
     mean_net = A.with_omega(np.mean([m.omega for m in members], axis=0))
-    params = FrechetParams(gw=GwParams(init_coupling="identity_block"))
+    params = FrechetParams(gw=GwParams(given=np.diag(A.mu)))
     grad = frechet_gradient(members, mean_net, params)
     exact_zero = not grad.gradient.f.any()
 
@@ -256,7 +251,7 @@ def test_feature_inner_products_match_tangent_geometry():
     A = random_network(rng, 3)
     nets = [A.with_omega(A.omega + 0.05 * rng.standard_normal((3, 3)))
             for _ in range(5)]
-    ds = vectorize_at_base(A, nets, GwParams(init_coupling="identity_block"))
+    ds = vectorize_at_base(A, nets, GwParams(given=np.diag(A.mu)))
     F = featurize(ds)
     gap = float(np.abs(F @ F.T
                        - (ds.vectors * ds.weights) @ ds.vectors.T).max())

@@ -4,9 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from gwnet import (AlignedPair, Coupling, GwParams, GwnetError,
                    MeasureNetwork, align, aligned_distance, binarize, blow_up,
-                   distortion_matrix, expansion_coupling_source,
-                   expansion_coupling_target, gw_distance, random_vertex,
-                   solve_gw, support_size)
+                   compress_log, distortion_matrix, expansion_coupling_source,
+                   expansion_coupling_target, geodesic_aligned, gw_distance,
+                   log_map, random_vertex, solve_gw, support_size)
 from conftest import random_network
 
 
@@ -21,12 +21,6 @@ def test_binarize_marks_positive_entries():
 def test_binarize_drops_numerical_dust():
     C = np.array([[0.5, 1e-15], [1e-15, 0.5]])
     assert np.array_equal(binarize(C), np.eye(2))
-
-
-def test_binarize_honors_explicit_threshold():
-    C = np.array([[0.5, 0.01], [0.01, 0.48]])
-    assert binarize(C, threshold=0.1).sum() == 2
-    assert binarize(C, threshold=1e-3).sum() == 4
 
 
 def test_support_size_counts_entries():
@@ -194,9 +188,7 @@ def test_expansion_couplings_certify_zero_distance():
     for net, expansion, coupling in (
             (X, pair.base_network(), expansion_coupling_source(X, pair)),
             (Y, pair.target_network(), expansion_coupling_target(Y, pair))):
-        d = gw_distance(net, expansion,
-                        GwParams(init_coupling="given",
-                                 given=coupling.matrix))
+        d = gw_distance(net, expansion, GwParams(given=coupling.matrix))
         # the squared distortion cancels to ~1e-16 of dust, so the
         # square root sits near 1e-8 rather than at zero
         assert d <= 1e-6
@@ -224,7 +216,7 @@ def test_align_accepts_a_precomputed_coupling(one_node, two_swap):
     assert coupling is C
     # C is the only coupling of this pair, so a solve started there stays
     _, report = solve_gw(one_node, two_swap,
-                         GwParams(init_coupling="given", given=C.matrix))
+                         GwParams(given=C.matrix))
     assert report.iterations == 0
     assert report.gw_distance == pytest.approx(np.sqrt(0.5) / 2, abs=1e-15)
     assert aligned_distance(pair) == pytest.approx(report.gw_distance,
@@ -243,3 +235,16 @@ def test_align_blows_up_a_given_coupling_as_passed(two_swap):
     assert pair.size == 4
     assert aligned_distance(pair) == pytest.approx(
         distortion_matrix(X, Y, C) / 2, abs=1e-12)
+
+
+def test_a_coupling_of_other_measures_is_rejected(two_swap):
+    # a valid coupling of (1/2, 1/2) and (0.9, 0.1), but Y is uniform: its
+    # blow-up would carry mass 0.9 and 0.1 on Y's nodes
+    X = two_swap
+    Y = MeasureNetwork(np.array([[0.0, 2.0], [2.0, 0.0]]), two_swap.mu)
+    C = Coupling(np.array([[0.45, 0.05], [0.45, 0.05]]), X.mu, [0.9, 0.1])
+    with pytest.raises(GwnetError):
+        blow_up(X, Y, C)
+    for call in (align, log_map, geodesic_aligned, compress_log):
+        with pytest.raises(GwnetError):
+            call(X, Y, coupling=C)

@@ -38,10 +38,15 @@ def test_removed_names_stay_removed():
     assert not hasattr(gwnet, "to_vertex_coupling")
     assert "to_vertex_coupling" not in gwnet.__all__
     assert not hasattr(gwnet.alignment, "to_vertex_coupling")
+    assert "init_coupling" not in [f.name for f in fields(gwnet.GwParams)]
+    for func in (gwnet.binarize, gwnet.support_size):
+        assert "threshold" not in inspect.signature(func).parameters
+    assert "gw_params" not in inspect.signature(
+        gwnet.support_size_sweep).parameters
 
 
 def test_solver_and_mean_settings():
     assert [f.name for f in fields(gwnet.GwParams)] == [
-        "max_outer_iters", "init_coupling", "given", "restarts", "rng_seed"]
+        "max_outer_iters", "given", "restarts", "rng_seed"]
     assert [f.name for f in fields(gwnet.FrechetParams)] == [
         "max_iters", "compress", "gw"]

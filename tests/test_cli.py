@@ -289,6 +289,7 @@ def test_asym_sweep_writes_csv(tmp_path):
     ["pca", "{x}", "{y}", "--components", "-1"],
     ["mean", "{x}", "{y}", "--max-iters", "0"],
     ["sbm-gen", "--variance", "nan"],
+    ["sbm-experiment", "--bound", "nan"],
 ])
 def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
                                         capsys):

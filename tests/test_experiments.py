@@ -108,6 +108,15 @@ def test_noisy_run_recovers_the_means_to_sampling_accuracy():
     assert relabeled_gap(run.recovered, oracle) <= 1e-9
 
 
+@pytest.mark.parametrize("n_runs, bound", [
+    (0, 0.1), (-1, 0.1), (2.5, 0.1), ("2", 0.1), (1, float("nan")),
+    (1, -0.1), (1, "0.1")])
+def test_sbm_experiment_rejects_bad_counts_and_bounds(n_runs, bound):
+    spec = SbmSpec(block_sizes=(2,), means=[[1.0]])
+    with pytest.raises(GwnetError):
+        sbm_compression_experiment(spec, n_runs=n_runs, bound=bound)
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_support_sweep_rows_and_bound():
@@ -117,8 +126,8 @@ def test_support_sweep_rows_and_bound():
         assert set(row) == {"n", "trial", "support_size", "ratio"}
         assert row["ratio"] == row["support_size"] / (2.0 * row["n"])
         assert row["support_size"] >= row["n"]
-    # rounding is best effort, so individual rows may exceed the vertex
-    # bound; the typical run does not
+    # a solve may end on an interior coupling, so individual rows may
+    # exceed the vertex bound; the typical run does not
     for n in (3, 5):
         sizes = [r["support_size"] for r in rows if r["n"] == n]
         assert np.median(sizes) <= 2 * n - 1

@@ -8,9 +8,7 @@ from gwnet import (Coupling, DimensionMismatchError, FrechetGradient,
                    frechet_gradient, frechet_loss, frechet_mean, gw_distance,
                    inner_product, sequential_log, uniform_network)
 
-from conftest import random_network
-
-IDENTITY_GW = GwParams(init_coupling="identity_block")
+from conftest import diagonal_start, random_network
 
 
 def _example_pair(one_node, two_swap):
@@ -24,7 +22,7 @@ def _example_pair(one_node, two_swap):
 def test_loss_at_a_member_of_a_singleton_is_zero():
     rng = np.random.default_rng(30)
     Z = random_network(rng, 4)
-    params = FrechetParams(gw=IDENTITY_GW)
+    params = FrechetParams(gw=diagonal_start(Z))
     assert frechet_loss([Z], Z, params) <= 1e-12
 
 
@@ -53,7 +51,7 @@ def test_loss_rejects_an_empty_collection(two_swap):
 def test_gradient_vanishes_at_a_singleton_member():
     rng = np.random.default_rng(32)
     X = random_network(rng, 4)
-    grad = frechet_gradient([X], X, FrechetParams(gw=IDENTITY_GW))
+    grad = frechet_gradient([X], X, FrechetParams(gw=diagonal_start(X)))
     assert not grad.gradient.f.any()
     assert grad.loss <= 1e-12
     assert grad.base.size == X.size
@@ -63,7 +61,7 @@ def test_gradient_toward_a_nearby_target_is_twice_the_difference():
     rng = np.random.default_rng(33)
     X = random_network(rng, 4)
     Y = X.with_omega(X.omega + 0.05 * rng.standard_normal((4, 4)))
-    grad = frechet_gradient([Y], X, FrechetParams(gw=IDENTITY_GW))
+    grad = frechet_gradient([Y], X, FrechetParams(gw=diagonal_start(X)))
     # the identity coupling is locally optimal here, so no expansion happens
     assert grad.base.size == 4
     assert np.allclose(grad.gradient.f, 2.0 * (X.omega - Y.omega), atol=1e-12)
@@ -76,7 +74,7 @@ def test_gradient_vanishes_at_the_entrywise_mean():
                for _ in range(3)]
     mean_omega = np.mean([m.omega for m in members], axis=0)
     grad = frechet_gradient(members, A.with_omega(mean_omega),
-                            FrechetParams(gw=IDENTITY_GW))
+                            FrechetParams(gw=diagonal_start(A)))
     assert grad.base.size == 4
     assert not grad.gradient.f.any()
 
@@ -86,7 +84,7 @@ def test_gradient_matches_finite_differences_on_frozen_targets():
     X = random_network(rng, 3)
     members = [X.with_omega(X.omega + 0.05 * rng.standard_normal((3, 3)))
                for _ in range(2)]
-    grad = frechet_gradient(members, X, FrechetParams(gw=IDENTITY_GW))
+    grad = frechet_gradient(members, X, FrechetParams(gw=diagonal_start(X)))
     mu, targets = grad.base.mu, grad.targets
 
     def frozen_loss(omega):
@@ -127,6 +125,18 @@ def test_warm_starts_must_match_the_members(compress):
             sequential_log(X, S, params.gw, warm=warm)
 
 
+@pytest.mark.parametrize("compress", ["none", "to_seed_size"])
+def test_warm_starts_must_couple_the_measures(compress):
+    rng = np.random.default_rng(44)
+    X = random_network(rng, 4)
+    S = [random_network(rng, 3) for _ in range(2)]
+    params = FrechetParams(compress=compress)
+    product = np.full((4, 3), 1 / 12)
+    for bad in (np.zeros((4, 3)), 2 * product):
+        with pytest.raises(GwnetError):
+            frechet_gradient(S, X, params, warm=[product, bad])
+
+
 # -------------------------------------------------------------------- mean
 
 def test_mean_of_the_one_node_pair_is_the_midpoint(one_node, two_swap):
@@ -144,7 +154,7 @@ def test_mean_of_the_one_node_pair_is_the_midpoint(one_node, two_swap):
 def test_mean_of_a_singleton_is_the_member_itself():
     rng = np.random.default_rng(36)
     X = random_network(rng, 3)
-    result = frechet_mean([X], FrechetParams(gw=IDENTITY_GW), seed=X)
+    result = frechet_mean([X], FrechetParams(gw=diagonal_start(X)), seed=X)
     assert np.allclose(result.network.omega, X.omega, atol=1e-12)
     assert result.loss <= 1e-12
     assert result.converged
@@ -157,7 +167,7 @@ def test_mean_of_two_aligned_members_is_their_entrywise_mean():
     rng = np.random.default_rng(37)
     A = random_network(rng, 3)
     B = A.with_omega(A.omega + 0.05 * rng.standard_normal((3, 3)))
-    result = frechet_mean([A, B], FrechetParams(gw=IDENTITY_GW))
+    result = frechet_mean([A, B], FrechetParams(gw=diagonal_start(A)))
     expect = (A.omega + B.omega) / 2
     assert np.allclose(result.network.omega, expect, atol=1e-12)
     mu = A.mu
@@ -172,7 +182,8 @@ def test_mean_stationary_at_the_cap_is_converged():
     rng = np.random.default_rng(37)
     A = random_network(rng, 3)
     B = A.with_omega(A.omega + 0.05 * rng.standard_normal((3, 3)))
-    result = frechet_mean([A, B], FrechetParams(max_iters=1, gw=IDENTITY_GW))
+    result = frechet_mean([A, B],
+                          FrechetParams(max_iters=1, gw=diagonal_start(A)))
     # the one step lands on the mean, and the cap iterate is tested too
     assert result.converged
     assert result.iterations == 1
@@ -226,9 +237,8 @@ def test_compress_log_of_the_one_node_pair(two_swap):
     v = compress_log(X, two_swap, coupling=C)
     # the aligned difference [[0,1],[1,0]] block-averages to 0.5
     assert np.array_equal(v, [[0.5]])
-    avg = compressed_average(X, two_swap,
-                             FrechetParams(gw=GwParams(init_coupling="given",
-                                                       given=C.matrix)))
+    avg = compressed_average(
+        X, two_swap, FrechetParams(gw=GwParams(given=C.matrix)))
     assert np.array_equal(avg.omega, [[0.25]])
     assert avg.size == 1
 

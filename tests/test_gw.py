@@ -208,7 +208,7 @@ def test_solver_identical_networks_reach_zero():
     rng = np.random.default_rng(12)
     omega = rng.random((5, 5)) * 10  # generic distinct entries
     X = MeasureNetwork(omega, np.full(5, 0.2))
-    C, report = solve_gw(X, X, GwParams(init_coupling="identity_block"))
+    C, report = solve_gw(X, X, GwParams(given=np.diag(X.mu)))
     assert report.cost <= 1e-8
     assert (C.matrix > 1e-9).sum() == 5  # permutation support
 
@@ -273,7 +273,7 @@ def test_solver_never_beaten_by_seeding_at_the_oracle_vertex():
     X = random_network(rng, 3)
     Y = random_network(rng, 4)
     val, V = brute_min_gw(X.omega, Y.omega, X.mu, Y.mu)
-    _, report = solve_gw(X, Y, GwParams(init_coupling="given", given=V))
+    _, report = solve_gw(X, Y, GwParams(given=V))
     assert report.cost ** 2 <= val + 1e-9
 
 
@@ -290,12 +290,6 @@ def test_params_validation():
     with pytest.raises(GwnetError):
         GwParams(max_outer_iters=0)
     with pytest.raises(GwnetError):
-        GwParams(init_coupling="warm")
-    with pytest.raises(GwnetError):
-        GwParams(init_coupling="given")  # given requires a matrix
-    with pytest.raises(GwnetError):
-        GwParams(given=np.eye(2) * 0.5)  # a product start would ignore it
-    with pytest.raises(GwnetError):
         GwParams(restarts=-1)
     for count in (2.5, float("nan"), "3"):
         with pytest.raises(GwnetError):
@@ -304,15 +298,21 @@ def test_params_validation():
         GwParams(restarts=1.5)
 
 
-def test_identity_block_needs_same_size(one_node, two_swap):
-    with pytest.raises(GwnetError):
-        solve_gw(one_node, two_swap, GwParams(init_coupling="identity_block"))
-
-
 def test_given_coupling_must_match_shapes(one_node, two_swap):
-    params = GwParams(init_coupling="given", given=np.eye(2) * 0.5)
+    params = GwParams(given=np.eye(2) * 0.5)
     with pytest.raises(GwnetError):
         solve_gw(one_node, two_swap, params)
+
+
+@pytest.mark.parametrize("given", [
+    np.zeros((2, 2)),                          # carries no mass
+    np.diag([0.9, 0.1]),                       # couples other measures
+    np.array([[0.6, -0.1], [-0.1, 0.6]]),      # right sums, negative entry
+    np.full((2, 2), np.nan),
+])
+def test_given_start_must_couple_the_two_measures(two_swap, given):
+    with pytest.raises(GwnetError):
+        solve_gw(two_swap, two_swap, GwParams(given=given))
 
 
 def test_solve_returns_valid_coupling():

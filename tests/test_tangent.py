@@ -56,7 +56,7 @@ def test_exp_undoes_log_up_to_weak_isomorphism():
         # constructing the network renormalizes mu by an ulp or two
         assert np.allclose(Z.mu, pair.mu_hat, atol=1e-15)
         C = expansion_coupling_target(Y, pair)
-        d = gw_distance(Y, Z, GwParams(init_coupling="given", given=C.matrix))
+        d = gw_distance(Y, Z, GwParams(given=C.matrix))
         assert d <= 1e-6
 
 
