@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import Coupling, GwnetError, MeasureNetwork
+from .networks import Coupling, GwnetError, MeasureNetwork, check_coupling
 from .gw import GwParams, _as_matrix, solve_gw
 
 # entries below this fraction of the largest one are treated as zeros;
@@ -133,13 +133,21 @@ def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
     support_size(C) nodes: at most n + m - 1 on a vertex coupling and up
     to n * m on an interior one, which is not thinned first.
     """
-    mat = Coupling(C.matrix, X.mu, Y.mu).matrix
-    src, tgt = np.nonzero(_support_mask(mat))  # ascending target per row
-    masses = mat[src, tgt].astype(float)
-    # exact mass preservation per source node
-    for i in range(X.size):
-        sel = src == i
-        masses[sel] *= X.mu[i] / masses[sel].sum()
+    mat = C.matrix
+    # C was checked against its own marginals when it was built
+    if not (np.array_equal(C.row_marginal, X.mu)
+            and np.array_equal(C.col_marginal, Y.mu)):
+        check_coupling(mat, X.mu, Y.mu)
+    src, tgt = np.nonzero(_support_mask(mat))  # row-major: src ascends
+    masses = mat[src, tgt]
+    # exact mass preservation per source node: its copies are the run of
+    # entries of its row, at least one, which is its own sum when alone
+    counts = np.bincount(src, minlength=X.size)
+    ends = np.cumsum(counts)
+    sums = masses[ends - 1]
+    for i in np.flatnonzero(counts > 1).tolist():
+        sums[i] = masses[ends[i] - counts[i]:ends[i]].sum()
+    masses *= (X.mu / sums)[src]
     return AlignedPair(omega_xhat=X.omega[np.ix_(src, src)],
                        omega_yhat=Y.omega[np.ix_(tgt, tgt)],
                        mu_hat=masses,

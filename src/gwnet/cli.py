@@ -88,8 +88,7 @@ def _cmd_distance(args) -> int:
     print(f"gwDistance {report.gw_distance:.9f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_coupling_payload(coupling, report), fh)
-            fh.write("\n")
+            fh.write(json.dumps(_coupling_payload(coupling, report)) + "\n")
     return 0 if report.converged else 2
 
 
@@ -113,8 +112,7 @@ def _cmd_geodesic(args) -> int:
         manifest["lowWeightMask"] = (mu < args.mask_threshold * mu.max()) \
             .tolist()
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
-        fh.write("\n")
+        fh.write(json.dumps(manifest) + "\n")
     print(f"halfLength {rep.half_length:.9f} size {rep.size}")
     return 0
 
@@ -173,8 +171,7 @@ def _cmd_pca(args) -> int:
     }
     out = Path(args.out or "pca.json")
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
     if args.grid:
         for ci in range(result.num_components):
             for s in _parse_numbers(args.grid):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .networks import (Coupling, DimensionMismatchError, GwnetError,
                        MeasureNetwork, SolveReport, check_count)
-from .linear_ot import OtProblem, solve_linear_ot
+from .linear_ot import OtProblem, _is_assignment, solve_linear_ot
 
 
 class NegativeRadicandError(GwnetError):
@@ -43,7 +43,7 @@ class NegativeRadicandError(GwnetError):
 OBJECTIVE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GwParams:
     """Knobs for the outer solver.
 
@@ -51,7 +51,8 @@ class GwParams:
     segment toward the new vertex. A solve starts from `given`, which must
     be a coupling of the two networks' measures, or else from the product
     coupling. restarts adds that many extra starts from seeded random
-    vertices; the best final objective wins.
+    vertices; the best final objective wins. Params compare and hash by
+    identity, since `given` may hold an array.
     """
 
     max_outer_iters: int = 200
@@ -188,6 +189,7 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
     params = params or GwParams()
     A, B = X.omega, Y.omega
     p, q = X.mu, Y.mu
+    assignment = _is_assignment(p, q)
 
     best = None
     for C0 in _initial_couplings(X, Y, params):
@@ -198,15 +200,16 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
         converged = False
         basis = []      # each step starts from the previous step's tree
         for _ in range(params.max_outer_iters):
-            V, _ = solve_linear_ot(OtProblem(G, p, q), basis)
+            V, _ = solve_linear_ot(OtProblem._step(G, p, q, assignment),
+                                   basis)
             D = V.matrix - C
             if not D.any():     # C is the vertex the LP returns
                 converged = True
                 break
             G_D = -2.0 * _cross(A, B, D)
             # J(C + t D) = J + b t + a t^2 and G(C + t D) = G + t G_D
-            b = float(np.sum(G * D))
-            a = 0.5 * float(np.sum(G_D * D))
+            b = float((G * D).sum())
+            a = 0.5 * float((G_D * D).sum())
             t = _line_step(a, b)
             if t <= 0.0:
                 converged = True
@@ -231,7 +234,7 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
     report = SolveReport(cost=dis, gw_distance=dis / 2.0,
                          iterations=len(trace) - 1, converged=converged,
                          objective_trace=tuple(trace))
-    return Coupling(C, p, q), report
+    return Coupling._adopt(C, p, q), report
 
 
 def gw_distance(X: MeasureNetwork, Y: MeasureNetwork,

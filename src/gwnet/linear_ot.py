@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .networks import Coupling, GwnetError, PROB_TOL
+from .networks import Coupling, GwnetError, PROB_TOL, _freeze
 
 
 # pricing takes reduced costs above -PRICE_TOL times the largest |cost| as
@@ -44,28 +44,55 @@ class InfeasibleMarginalsError(GwnetError):
 
 @dataclass(frozen=True)
 class OtProblem:
+    """Cost and marginals of one transport problem, stored read-only."""
+
     cost: np.ndarray
     p: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        cost = np.asarray(self.cost, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
+        cost, p, q = _freeze(self.cost), _freeze(self.p), _freeze(self.q)
         if cost.ndim != 2 or cost.shape != (p.shape[0], q.shape[0]):
             raise GwnetError(
                 f"cost shape {cost.shape} does not match marginals "
                 f"({p.shape[0]}, {q.shape[0]})")
-        if not np.all(np.isfinite(cost)):
-            raise GwnetError("cost contains non-finite entries")
+        _check_cost(cost)
         for name, v in (("p", p), ("q", q)):
             # written so that NaN and infinite entries fail too
             if not (np.all(v > 0) and abs(v.sum() - 1.0) <= PROB_TOL):
                 raise InfeasibleMarginalsError(
                     f"{name} is not a probability vector")
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        # _assignment is not a field: the path solve_linear_ot takes, which
+        # p and q alone decide
+        self.__dict__.update(cost=cost, p=p, q=q,
+                             _assignment=_is_assignment(p, q))
+
+    @classmethod
+    def _step(cls, cost: np.ndarray, p: np.ndarray, q: np.ndarray,
+              assignment: bool) -> "OtProblem":
+        """Problem of one Frank-Wolfe step of solve_gw. p and q are the two
+        networks' read-only measures, which MeasureNetwork has checked, and
+        assignment is _is_assignment(p, q), decided once per solve. cost is
+        the step's fresh gradient, which the caller never writes to again:
+        only its finiteness is checked, and it is made read-only in place
+        instead of copied."""
+        _check_cost(cost)
+        cost.flags.writeable = False
+        prob = object.__new__(cls)
+        prob.__dict__.update(cost=cost, p=p, q=q, _assignment=assignment)
+        return prob
+
+
+def _check_cost(cost: np.ndarray) -> None:
+    if not np.isfinite(cost).all():
+        raise GwnetError("cost contains non-finite entries")
+
+
+def _is_assignment(p: np.ndarray, q: np.ndarray) -> bool:
+    """Equal sizes with every mass the same number: the vertices are then
+    scaled permutations, found by solving an assignment problem."""
+    return (len(p) == len(q) and bool(np.all(p == p[0]))
+            and bool(np.all(q == p[0])))
 
 
 def _initial_tree(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -274,15 +301,13 @@ def solve_linear_ot(prob: OtProblem,
     n, m = cost.shape
     if n == 1:
         matrix = q[None, :].copy()
-        return Coupling(matrix, p, q), float(np.sum(cost * matrix))
-    if m == 1:
+    elif m == 1:
         matrix = p[:, None].copy()
-        return Coupling(matrix, p, q), float(np.sum(cost * matrix))
-    if n == m and np.all(p == p[0]) and np.all(q == p[0]):
+    elif prob._assignment:
         rows, cols = linear_sum_assignment(cost)
         matrix = np.zeros((n, m))
         matrix[rows, cols] = p
-        return Coupling(matrix, p, q), float(np.sum(cost * matrix))
-
-    matrix, _ = _network_simplex(cost, p, q, _basis)
-    return Coupling(matrix, p, q), float(np.sum(cost * matrix))
+    else:
+        matrix, _ = _network_simplex(cost, p, q, _basis)
+    # the vertex is fresh and p and q are the problem's read-only arrays
+    return Coupling._adopt(matrix, p, q), float((cost * matrix).sum())

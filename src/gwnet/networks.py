@@ -125,6 +125,27 @@ def uniform_network(omega, labels=None) -> MeasureNetwork:
     return MeasureNetwork(omega, np.full(n, 1.0 / n), labels)
 
 
+def check_coupling(matrix: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
+    """Raise unless the float matrix is a coupling of the float vectors
+    (p, q): shape (len(p), len(q)), finite entries and marginals,
+    nonnegative entries, and row and column sums within MARGINAL_TOL of p
+    and q per entry."""
+    if matrix.ndim != 2 or matrix.shape != (p.shape[0], q.shape[0]):
+        raise DimensionMismatchError(
+            f"matrix shape {matrix.shape} does not match marginals "
+            f"({p.shape[0]}, {q.shape[0]})")
+    if not (np.isfinite(matrix).all() and np.isfinite(p).all()
+            and np.isfinite(q).all()):
+        raise NonFiniteEntryError(
+            "coupling or its marginals contain non-finite entries")
+    if matrix.min(initial=0.0) < 0:
+        raise GwnetError("coupling entries must be nonnegative")
+    if np.abs(matrix.sum(axis=1) - p).max() > MARGINAL_TOL:
+        raise GwnetError("row sums do not match the row marginal")
+    if np.abs(matrix.sum(axis=0) - q).max() > MARGINAL_TOL:
+        raise GwnetError("column sums do not match the column marginal")
+
+
 @dataclass(frozen=True)
 class Coupling:
     """A nonnegative matrix with prescribed row and column marginals.
@@ -139,26 +160,24 @@ class Coupling:
     col_marginal: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        p = np.asarray(self.row_marginal, dtype=float)
-        q = np.asarray(self.col_marginal, dtype=float)
-        if matrix.ndim != 2 or matrix.shape != (p.shape[0], q.shape[0]):
-            raise DimensionMismatchError(
-                f"matrix shape {matrix.shape} does not match marginals "
-                f"({p.shape[0]}, {q.shape[0]})")
-        if not (np.isfinite(matrix).all() and np.isfinite(p).all()
-                and np.isfinite(q).all()):
-            raise NonFiniteEntryError(
-                "coupling or its marginals contain non-finite entries")
-        if matrix.min(initial=0.0) < 0:
-            raise GwnetError("coupling entries must be nonnegative")
-        if np.max(np.abs(matrix.sum(axis=1) - p)) > MARGINAL_TOL:
-            raise GwnetError("row sums do not match the row marginal")
-        if np.max(np.abs(matrix.sum(axis=0) - q)) > MARGINAL_TOL:
-            raise GwnetError("column sums do not match the column marginal")
-        object.__setattr__(self, "matrix", _freeze(matrix))
-        object.__setattr__(self, "row_marginal", _freeze(p))
-        object.__setattr__(self, "col_marginal", _freeze(q))
+        matrix = _freeze(self.matrix)
+        p = _freeze(self.row_marginal)
+        q = _freeze(self.col_marginal)
+        check_coupling(matrix, p, q)
+        # a frozen dataclass sets its checked fields through __dict__
+        self.__dict__.update(matrix=matrix, row_marginal=p, col_marginal=q)
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray, p: np.ndarray,
+               q: np.ndarray) -> "Coupling":
+        """Coupling over a fresh float matrix that the caller hands over and
+        never writes to again, with read-only marginals. It is checked by
+        the same rule, and made read-only in place instead of copied."""
+        check_coupling(matrix, p, q)
+        matrix.flags.writeable = False
+        out = object.__new__(cls)
+        out.__dict__.update(matrix=matrix, row_marginal=p, col_marginal=q)
+        return out
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -223,9 +242,10 @@ def write_network(net: MeasureNetwork, path, format: str | None = None) -> None:
     """Write a network to path as json or csv (inferred from the extension)."""
     fmt = _format_for(path, format)
     if fmt == "json":
+        # json.dumps runs the C encoder; json.dump writes the same bytes
+        # through the pure-Python one
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(network_to_dict(net), fh)
-            fh.write("\n")
+            fh.write(json.dumps(network_to_dict(net)) + "\n")
     else:
         # repr of a python float round-trips exactly
         lines = ["mu," + ",".join(repr(float(x)) for x in net.mu)]

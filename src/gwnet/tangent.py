@@ -167,8 +167,7 @@ def tangent_from_dict(d: dict) -> TangentVector:
 
 def write_tangent(v: TangentVector, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tangent_to_dict(v), fh)
-        fh.write("\n")
+        fh.write(json.dumps(tangent_to_dict(v)) + "\n")
 
 
 def read_tangent(path) -> TangentVector:

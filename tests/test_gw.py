@@ -5,6 +5,7 @@ from gwnet import (Coupling, GwParams, GwnetError, MeasureNetwork,
                    NegativeRadicandError, distortion_matrix, gw_distance, gw_gradient,
                    northwest_corner, random_vertex, solve_gw,
                    support_size, uniform_network)
+from gwnet import linear_ot
 from gwnet.gw import _cross, _line_step, _objective
 
 from conftest import psd_network, random_network
@@ -298,6 +299,13 @@ def test_params_validation():
         GwParams(restarts=1.5)
 
 
+def test_params_with_an_array_start_compare_and_hash():
+    a = np.eye(2) * 0.5
+    first, second = GwParams(given=a), GwParams(given=a.copy())
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def test_given_coupling_must_match_shapes(one_node, two_swap):
     params = GwParams(given=np.eye(2) * 0.5)
     with pytest.raises(GwnetError):
@@ -324,3 +332,28 @@ def test_solve_returns_valid_coupling():
     assert (C.matrix >= 0).all()
     assert np.abs(C.matrix.sum(1) - X.mu).max() < 1e-8
     assert np.abs(C.matrix.sum(0) - Y.mu).max() < 1e-8
+
+
+def test_overflowing_gradient_is_rejected_at_each_step():
+    rng = np.random.default_rng(23)
+    X = MeasureNetwork(1e200 * (1 + rng.random((4, 4))), np.full(4, 0.25))
+    Y = MeasureNetwork(1e200 * (1 + rng.random((4, 4))), np.full(4, 0.25))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GwnetError, match="cost contains non-finite"):
+            solve_gw(X, Y)
+
+
+def test_each_step_vertex_is_checked(monkeypatch):
+    rng = np.random.default_rng(29)
+    X = random_network(rng, 4, uniform_mu=False)
+    Y = random_network(rng, 5, uniform_mu=False)
+    real = linear_ot._network_simplex
+
+    def off(cost, p, q, basis=None):
+        matrix, pivots = real(cost, p, q, basis)
+        matrix[0] += 1e-6 / matrix.shape[1]
+        return matrix, pivots
+
+    monkeypatch.setattr(linear_ot, "_network_simplex", off)
+    with pytest.raises(GwnetError, match="row sums do not match the row"):
+        solve_gw(X, Y)

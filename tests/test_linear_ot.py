@@ -164,6 +164,24 @@ def test_problem_validation():
                   np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("n, m, uniform", [
+    (1, 3, False), (3, 1, False), (3, 3, True), (2, 3, False)])
+def test_coupling_is_read_only_and_owns_its_marginals(n, m, uniform):
+    rng = np.random.default_rng(31)
+    cost = rng.standard_normal((n, m))
+    p = np.full(n, 1 / n) if uniform else rng.dirichlet(np.ones(n))
+    q = np.full(m, 1 / m) if uniform else rng.dirichlet(np.ones(m))
+    C, _ = solve_linear_ot(OtProblem(cost, p, q))
+    for a in (C.matrix, C.row_marginal, C.col_marginal):
+        assert not a.flags.writeable
+    before = (C.matrix.copy(), C.row_marginal.copy(), C.col_marginal.copy())
+    cost[:] = 0.0
+    p[:] = 0.0
+    q[:] = 0.0
+    for a, b in zip((C.matrix, C.row_marginal, C.col_marginal), before):
+        assert np.array_equal(a, b)
+
+
 def test_repair_handles_tiny_masses():
     p = np.array([1e-9, 1.0 - 1e-9])
     q = np.array([0.5, 0.5])

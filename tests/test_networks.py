@@ -92,6 +92,18 @@ def test_json_round_trip_exact(tmp_path, two_swap):
     assert np.array_equal(back.mu, two_swap.mu)
 
 
+def test_json_bytes_are_what_json_dump_writes(tmp_path):
+    rng = np.random.default_rng(37)
+    net = MeasureNetwork(rng.standard_normal((5, 5)) * 1e-7,
+                         rng.dirichlet(np.ones(5)), list("abcde"))
+    path = tmp_path / "net.json"
+    write_network(net, path)
+    with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+        json.dump(network_to_dict(net), fh)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+
 def test_csv_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     net = MeasureNetwork(rng.standard_normal((4, 4)), np.full(4, 0.25))

@@ -163,6 +163,11 @@ def test_tangent_json_round_trip(tmp_path, one_node, two_swap):
 
     path = tmp_path / "vector.json"
     write_tangent(v, path)
+    # the file holds exactly what json.dump writes
+    with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+        json.dump(d, fh)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
     again = read_tangent(path)
     assert np.array_equal(again.f, v.f)
     assert np.array_equal(again.base.mu, v.base.mu)
