@@ -11,8 +11,7 @@ from .networks import (Coupling, DimensionMismatchError, GwnetError,
                        MeasureNetwork, NonFiniteEntryError,
                        NonProbabilityError, NonSquareError, ParseError,
                        SolveReport, network_from_dict, network_to_dict,
-                       read_network, uniform_network, validate_network,
-                       write_network)
+                       read_network, uniform_network, write_network)
 from .linear_ot import InfeasibleMarginalsError, OtProblem, solve_linear_ot
 from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
                  gw_distance, gw_gradient, northwest_corner, random_vertex,
@@ -59,6 +58,6 @@ __all__ = [
     "read_network", "read_tangent", "sbm_compression_experiment",
     "sequential_log", "solve_gw", "solve_linear_ot", "support_size",
     "support_size_sweep", "tangent_from_dict", "tangent_pca",
-    "tangent_to_dict", "uniform_network", "validate_network",
-    "vectorize_at_base", "write_network", "write_tangent",
+    "tangent_to_dict", "uniform_network", "vectorize_at_base",
+    "write_network", "write_tangent",
 ]

@@ -160,7 +160,7 @@ def aligned_distance(pair: AlignedPair) -> float:
     diagonal coupling."""
     diff2 = (pair.omega_xhat - pair.omega_yhat) ** 2
     dis2 = float(pair.mu_hat @ diff2 @ pair.mu_hat)
-    return float(np.sqrt(max(dis2, 0.0))) / 2.0
+    return float(np.sqrt(dis2)) / 2.0
 
 
 def align(X: MeasureNetwork, Y: MeasureNetwork,

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import (GwnetError, MeasureNetwork, ParseError, read_network,
-                       write_network)
+from .networks import (GwnetError, MeasureNetwork, ParseError, _format_for,
+                       read_network, write_network)
 from .gw import GwParams, solve_gw
 from .geodesics import evaluate, geodesic_aligned
 from .frechet import FrechetParams, compressed_average, frechet_mean
@@ -41,8 +41,9 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _write_rows(rows: list[dict], path, fmt: str, headers: list[str]):
-    if fmt == "json":
+def _write_rows(rows: list[dict], path, headers: list[str]):
+    """Write rows as csv when the name ends in ".csv", else as json."""
+    if _format_for(path) == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=1)
             fh.write("\n")
@@ -103,7 +104,7 @@ def _cmd_geodesic(args) -> int:
     for t in ts:
         net = evaluate(rep, t)
         name = f"t_{t:.4f}.{args.format}"
-        write_network(net, outdir / name, args.format)
+        write_network(net, outdir / name)
         files.append(name)
     manifest = {"ts": ts, "files": files, "halfLength": rep.half_length,
                 "size": rep.size}
@@ -130,7 +131,7 @@ def _cmd_mean(args) -> int:
     params = _frechet_params(args)
     result = frechet_mean(nets, params, seed=seed, seed_rng=args.seed)
     out = Path(args.out or "mean.json")
-    write_network(result.network, out, args.format)
+    write_network(result.network, out)
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
     with open(trace_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -146,7 +147,7 @@ def _cmd_compress(args) -> int:
     Y = read_network(args.y)
     net = compressed_average(X, Y, FrechetParams(gw=_gw_params(args)))
     out = args.out or "compressed.json"
-    write_network(net, out, args.format)
+    write_network(net, out)
     print(f"wrote {out}")
     return 0
 
@@ -178,7 +179,7 @@ def _cmd_pca(args) -> int:
                 net = project_along_component(result, ds.base, ci, s)
                 name = out.with_name(f"{out.stem}_c{ci}_s{s:+.3f}."
                                      f"{args.format}")
-                write_network(net, name, args.format)
+                write_network(net, name)
     ratios = ", ".join(f"{r:.4f}"
                        for r in result.explained_variance_ratios[:5])
     print(f"ratios [{ratios}]")
@@ -223,7 +224,7 @@ def _sbm_spec(args) -> SbmSpec:
 def _cmd_sbm_gen(args) -> int:
     net = generate_sbm(_sbm_spec(args))
     out = args.out or "sbm.json"
-    write_network(net, out, args.format)
+    write_network(net, out)
     print(f"wrote {out} ({net.size} nodes)")
     return 0
 
@@ -237,7 +238,7 @@ def _cmd_sbm_experiment(args) -> int:
              "iterations": r.iterations, "converged": r.converged}
             for r in report.runs]
     if args.out:
-        if args.format == "json":
+        if _format_for(args.out) == "json":
             payload = {"target": report.target.tolist(), "runs": rows,
                        "passCount": report.pass_count, "bound": report.bound,
                        "recovered": [r.recovered.tolist()
@@ -246,7 +247,7 @@ def _cmd_sbm_experiment(args) -> int:
                 json.dump(payload, fh, indent=1)
                 fh.write("\n")
         else:
-            _write_rows(rows, args.out, "csv", list(rows[0].keys()))
+            _write_rows(rows, args.out, list(rows[0].keys()))
     print(f"passCount {report.pass_count}/{len(report.runs)} "
           f"bound {report.bound}")
     return 0
@@ -256,8 +257,7 @@ def _cmd_support_sweep(args) -> int:
     sizes = _parse_numbers(args.sizes, int)
     rows = support_size_sweep(sizes, args.trials, rng_seed=args.seed)
     out = args.out or "support_sweep.csv"
-    fmt = "csv" if args.format == "csv" or str(out).endswith(".csv") else "json"
-    _write_rows(rows, out, fmt, ["n", "trial", "support_size", "ratio"])
+    _write_rows(rows, out, ["n", "trial", "support_size", "ratio"])
     medians = {}
     for row in rows:
         medians.setdefault(row["n"], []).append(row["support_size"])
@@ -277,9 +277,8 @@ def _cmd_asym_sweep(args) -> int:
                            args.n_seeds, sizes=(sizes[0], sizes[1]),
                            rng_seed=args.seed)
     out = args.out or "asym_sweep.csv"
-    fmt = "csv" if args.format == "csv" or str(out).endswith(".csv") else "json"
-    _write_rows(rows, out, fmt, ["mode", "alpha", "seed", "final_loss",
-                                 "final_size", "iterations", "converged"])
+    _write_rows(rows, out, ["mode", "alpha", "seed", "final_loss",
+                            "final_size", "iterations", "converged"])
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -291,8 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomness (default 0)")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="serialization format for network outputs")
+    suffix = argparse.ArgumentParser(add_help=False)
+    suffix.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="suffix, and so format, of the network files "
+                             "this command names")
     restarts = argparse.ArgumentParser(add_help=False)
     restarts.add_argument("--restarts", type=int, default=0,
                           help="extra random starts for each solve")
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser("geodesic", parents=[common, solver],
+    p = sub.add_parser("geodesic", parents=[common, suffix, solver],
                        help="sample the geodesic between two networks")
     p.add_argument("x")
     p.add_argument("y")
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.set_defaults(func=_cmd_compress)
 
-    p = sub.add_parser("pca", parents=[common, solver],
+    p = sub.add_parser("pca", parents=[common, suffix, solver],
                        help="principal directions of a collection")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--base", default=None,

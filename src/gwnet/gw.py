@@ -91,22 +91,24 @@ def _objective(X: MeasureNetwork, Y: MeasureNetwork,
     return const - 2.0 * float(np.sum(C * (A @ C @ B.T))), const
 
 
-def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
-    """Distortion of a coupling of (mu_X, mu_Y) via the matrix identity.
+def _distortion(dis2: float, const: float) -> float:
+    """Distortion from a squared distortion computed with the constant
+    const. A radicand within 1e-12 max(1, const) below zero is clamped
+    (seen when the two quadratic terms cancel at scale); anything more
+    negative raises NegativeRadicandError."""
+    if dis2 < 0:
+        if dis2 < -1e-12 * max(1.0, const):
+            raise NegativeRadicandError(f"squared distortion {dis2} < 0")
+        dis2 = 0.0
+    return float(np.sqrt(dis2))
 
-    A radicand within a relative tolerance below zero is clamped (seen when
-    the two quadratic terms cancel at scale); anything more negative raises
-    NegativeRadicandError.
-    """
+
+def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
+    """Distortion of a coupling of (mu_X, mu_Y) via the matrix identity;
+    a negative radicand is clamped or raises as in _distortion."""
     C = _as_matrix(C)
     _check_shapes(X, Y, C)
-    dis2, const = _objective(X, Y, C)
-    if dis2 < 0:
-        if dis2 >= -1e-12 * max(1.0, const):
-            dis2 = 0.0
-        else:
-            raise NegativeRadicandError(f"squared distortion {dis2} < 0")
-    return float(np.sqrt(dis2))
+    return _distortion(*_objective(X, Y, C))
 
 
 def gw_gradient(X: MeasureNetwork, Y: MeasureNetwork, C) -> np.ndarray:
@@ -184,7 +186,8 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
     objective trace is non-increasing; the reported distance is an upper
     bound on the true one, tight when a global minimizer is found. With
     restarts > 0, extra seeded random-vertex starts are run and the best
-    final objective wins.
+    final objective wins. A final squared distortion below zero beyond
+    rounding raises NegativeRadicandError, as in distortion_matrix.
     """
     params = params or GwParams()
     A, B = X.omega, Y.omega
@@ -223,14 +226,14 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
                 converged = True
                 break
         # the updates above carry rounding; the reported value is exact
-        J = _objective(X, Y, C)[0]
+        J, const = _objective(X, Y, C)
         trace[-1] = J
         if best is None or J < best[1]:
-            best = (C, J, trace, converged)
+            best = (C, J, const, trace, converged)
 
-    C, J, trace, converged = best
+    C, J, const, trace, converged = best
     C = np.maximum(C, 0.0)
-    dis = float(np.sqrt(max(J, 0.0)))
+    dis = _distortion(J, const)
     report = SolveReport(cost=dis, gw_distance=dis / 2.0,
                          iterations=len(trace) - 1, converged=converged,
                          objective_trace=tuple(trace))

@@ -107,15 +107,6 @@ class MeasureNetwork:
         return MeasureNetwork(omega, self.mu, self.labels)
 
 
-def validate_network(omega, mu, labels=None) -> MeasureNetwork:
-    """Validate raw arrays and return a MeasureNetwork.
-
-    Raises NonSquareError, NonProbabilityError or NonFiniteEntryError when
-    the input does not describe a measure network.
-    """
-    return MeasureNetwork(omega, mu, labels)
-
-
 def uniform_network(omega, labels=None) -> MeasureNetwork:
     """Network with the uniform measure on its nodes."""
     omega = np.asarray(omega, dtype=float)
@@ -201,20 +192,15 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# File formats.
+# File formats. The file name alone decides: a name ending in ".csv" holds
+# csv, any other name json.
 #
 # json: {"omega": [[...]], "mu": [...], "labels": [...]?}
 # csv:  first line "mu,v1,...,vn", then n comma-separated omega rows.
 # ---------------------------------------------------------------------------
 
-def _format_for(path: str, format: str | None) -> str:
-    if format is not None:
-        if format not in ("json", "csv"):
-            raise ParseError(f"unknown format {format!r}")
-        return format
-    if str(path).endswith(".csv"):
-        return "csv"
-    return "json"
+def _format_for(path) -> str:
+    return "csv" if str(path).endswith(".csv") else "json"
 
 
 def network_to_dict(net: MeasureNetwork) -> dict:
@@ -238,10 +224,10 @@ def network_from_dict(d: dict) -> MeasureNetwork:
     return MeasureNetwork(omega, mu, labels)
 
 
-def write_network(net: MeasureNetwork, path, format: str | None = None) -> None:
-    """Write a network to path as json or csv (inferred from the extension)."""
-    fmt = _format_for(path, format)
-    if fmt == "json":
+def write_network(net: MeasureNetwork, path) -> None:
+    """Write a network to path: csv when the name ends in ".csv", else json
+    (labels are kept in json only)."""
+    if _format_for(path) == "json":
         # json.dumps runs the C encoder; json.dump writes the same bytes
         # through the pure-Python one
         with open(path, "w", encoding="utf-8") as fh:
@@ -255,12 +241,12 @@ def write_network(net: MeasureNetwork, path, format: str | None = None) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-def read_network(path, format: str | None = None) -> MeasureNetwork:
-    """Read a network written by write_network. Raises ParseError on bad content."""
-    fmt = _format_for(path, format)
+def read_network(path) -> MeasureNetwork:
+    """Read a network written by write_network, in the format its name
+    gives. Raises ParseError on bad content."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if fmt == "json":
+    if _format_for(path) == "json":
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import (GwnetError, MeasureNetwork, ParseError,
-                       network_from_dict)
+                       network_from_dict, network_to_dict)
 from .gw import GwParams
 from .alignment import AlignedPair, BlowupPlan, align
 
@@ -71,7 +71,7 @@ def inner_product(v: TangentVector, w: TangentVector) -> float:
 
 
 def norm(v: TangentVector) -> float:
-    return float(np.sqrt(max(inner_product(v, v), 0.0)))
+    return float(np.sqrt(inner_product(v, v)))
 
 
 def log_map(X: MeasureNetwork, Y: MeasureNetwork,
@@ -132,8 +132,7 @@ def geodesic_certificate(X: MeasureNetwork, v: TangentVector) -> GeodesicCertifi
 
 
 def tangent_to_dict(v: TangentVector) -> dict:
-    d = {"base": {"omega": v.base.omega.tolist(), "mu": v.base.mu.tolist()},
-         "f": v.f.tolist()}
+    d = {"base": network_to_dict(v.base), "f": v.f.tolist()}
     if v.plan is not None:
         d["plan"] = {"source_index": list(v.plan.source_index),
                      "target_index": list(v.plan.target_index),

@@ -43,6 +43,12 @@ def test_removed_names_stay_removed():
         assert "threshold" not in inspect.signature(func).parameters
     assert "gw_params" not in inspect.signature(
         gwnet.support_size_sweep).parameters
+    assert not hasattr(gwnet, "validate_network")
+    assert "validate_network" not in gwnet.__all__
+    assert not hasattr(gwnet.networks, "validate_network")
+    # a file's name alone chooses its format
+    for func in (gwnet.write_network, gwnet.read_network):
+        assert "format" not in inspect.signature(func).parameters
 
 
 def test_solver_and_mean_settings():

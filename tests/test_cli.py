@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import gwnet.cli
-from gwnet import (GwParams, GwnetError, MeasureNetwork, featurize,
-                   gw_distance, read_network, tangent_pca, vectorize_at_base,
+from gwnet import (FrechetParams, GwParams, GwnetError, MeasureNetwork,
+                   SbmSpec, compressed_average, evaluate, featurize,
+                   frechet_mean, generate_sbm, geodesic_aligned, gw_distance,
+                   read_network, tangent_pca, vectorize_at_base,
                    write_network)
 from gwnet.cli import main
 
@@ -259,6 +261,16 @@ def test_support_sweep_prints_half_integer_medians(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "n=5:median=6.5"
 
 
+def test_support_sweep_writes_json_to_a_json_name(tmp_path):
+    out = tmp_path / "sweep.json"
+    rc = main(["support-sweep", "--sizes", "3", "--trials", "2",
+               "--out", str(out)])
+    assert rc == 0
+    rows = json.loads(out.read_text())
+    assert [set(row) for row in rows] == [
+        {"n", "trial", "support_size", "ratio"}] * 2
+
+
 def test_asym_sweep_writes_csv(tmp_path):
     out = tmp_path / "asym.csv"
     rc = main(["asym-sweep", "--mode", "diagonal", "--alphas", "0,1",
@@ -271,13 +283,45 @@ def test_asym_sweep_writes_csv(tmp_path):
     assert all(r["converged"] in ("True", "False") for r in rows)
 
 
+# ------------------------------------------------------------ file names
+
+@pytest.mark.parametrize("command", ["mean", "compress", "sbm-gen",
+                                     "geodesic"])
+def test_network_outputs_read_back_as_named(command, example_files,
+                                            tmp_path):
+    x, y = example_files
+    X, Y = read_network(x), read_network(y)
+    out = tmp_path / "out.csv"
+    if command == "mean":
+        argv = ["mean", x, y, "--out", str(out)]
+        expected = frechet_mean([X, Y], FrechetParams()).network
+    elif command == "compress":
+        argv = ["compress", x, y, "--out", str(out)]
+        expected = compressed_average(X, Y, FrechetParams())
+    elif command == "sbm-gen":
+        argv = ["sbm-gen", "--block-sizes", "2,2", "--means", "1,2;3,4",
+                "--out", str(out)]
+        expected = generate_sbm(SbmSpec((2, 2), np.array([[1.0, 2.0],
+                                                          [3.0, 4.0]]),
+                                        variance=5.0))
+    else:
+        argv = ["geodesic", x, y, "--ts", "0.5", "--format", "csv",
+                "--out", str(tmp_path)]
+        out = tmp_path / "t_0.5000.csv"
+        expected = evaluate(geodesic_aligned(X, Y), 0.5)
+    assert main(argv) == 0
+    back = read_network(out)
+    assert np.array_equal(back.omega, expected.omega)
+    assert np.array_equal(back.mu, expected.mu)
+
+
 # ------------------------------------------------------------------ parser
 
 @pytest.mark.parametrize("argv", [
     ["sbm-gen", "--means", "abc"],
     ["sbm-gen", "--block-sizes", "2,2", "--means", "1,2;3"],
     ["sbm-gen", "--block-sizes", "2,2", "--means-file", "{bad}"],
-    ["sbm-experiment", "--runs", "0", "--format", "csv"],
+    ["sbm-experiment", "--runs", "0"],
     ["asym-sweep", "--sizes", "0"],
     ["asym-sweep", "--sizes", "3,3,3"],
     ["support-sweep", "--sizes", "0"],

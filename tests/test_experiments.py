@@ -133,17 +133,18 @@ def test_support_sweep_rows_and_bound():
         assert np.median(sizes) <= 2 * n - 1
 
 
-def test_asymmetry_sweep_schema_and_determinism():
-    rows = asymmetry_sweep("diagonal", alphas=(0.0, 1.0), n_seeds=1,
+@pytest.mark.parametrize("mode", ["diagonal", "antisymmetric"])
+def test_asymmetry_sweep_schema_and_determinism(mode):
+    rows = asymmetry_sweep(mode, alphas=(0.0, 1.0), n_seeds=1,
                            sizes=(4, 4), rng_seed=0,
                            params=FrechetParams(max_iters=10))
     assert len(rows) == 2
     for row in rows:
         assert set(row) == {"mode", "alpha", "seed", "final_loss",
                             "final_size", "iterations", "converged"}
-        assert row["mode"] == "diagonal"
+        assert row["mode"] == mode
         assert np.isfinite(row["final_loss"])
-    again = asymmetry_sweep("diagonal", alphas=(0.0, 1.0), n_seeds=1,
+    again = asymmetry_sweep(mode, alphas=(0.0, 1.0), n_seeds=1,
                             sizes=(4, 4), rng_seed=0,
                             params=FrechetParams(max_iters=10))
     assert [r["final_loss"] for r in rows] == [r["final_loss"] for r in again]

@@ -5,7 +5,7 @@ from gwnet import (Coupling, GwParams, GwnetError, MeasureNetwork,
                    NegativeRadicandError, distortion_matrix, gw_distance, gw_gradient,
                    northwest_corner, random_vertex, solve_gw,
                    support_size, uniform_network)
-from gwnet import linear_ot
+from gwnet import gw, linear_ot
 from gwnet.gw import _cross, _line_step, _objective
 
 from conftest import psd_network, random_network
@@ -78,10 +78,14 @@ def test_dimension_mismatch_raises(one_node, two_swap):
         gw_gradient(one_node, two_swap, np.array([[1.0]]))
 
 
-def test_negative_radicand_raises_a_typed_error(two_swap):
+def test_negative_radicand_raises_a_typed_error(two_swap, monkeypatch):
     # 10 I is not a coupling: the radicand is 1 - 2 * 200 = -399
     with pytest.raises(NegativeRadicandError):
         distortion_matrix(two_swap, two_swap, 10.0 * np.eye(2))
+    # solve_gw applies the same rule instead of reporting distance 0
+    monkeypatch.setattr(gw, "_objective", lambda X, Y, C: (-1.0, 1.0))
+    with pytest.raises(NegativeRadicandError):
+        solve_gw(two_swap, two_swap)
 
 
 def test_rounding_below_zero_at_scale_is_clamped():

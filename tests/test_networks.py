@@ -6,7 +6,7 @@ import pytest
 from gwnet import (Coupling, GwnetError, MeasureNetwork, NonFiniteEntryError,
                    NonProbabilityError, NonSquareError, ParseError,
                    network_from_dict, network_to_dict, read_network,
-                   uniform_network, validate_network, write_network)
+                   uniform_network, write_network)
 
 
 def test_example_networks_validate(one_node, two_swap):
@@ -41,6 +41,8 @@ def test_non_finite_rejected():
     with pytest.raises(NonFiniteEntryError):
         MeasureNetwork(np.array([[np.inf, 0], [0, 0.0]]),
                        np.array([0.5, 0.5]))
+    with pytest.raises(NonFiniteEntryError):
+        MeasureNetwork(np.zeros((2, 2)), np.array([np.nan, 0.5]))
 
 
 def test_mu_renormalized_to_exact_unit_sum():
@@ -52,6 +54,8 @@ def test_mu_renormalized_to_exact_unit_sum():
 def test_mu_dimension_must_match():
     with pytest.raises(GwnetError):
         MeasureNetwork(np.zeros((2, 2)), np.array([1.0]))
+    with pytest.raises(GwnetError):
+        MeasureNetwork(np.zeros((2, 2)), np.array([0.5, 0.5]), labels=("a",))
 
 
 def test_arrays_frozen(two_swap):
@@ -70,11 +74,8 @@ def test_with_omega_keeps_measure(two_swap):
 def test_uniform_network():
     net = uniform_network(np.arange(9.0).reshape(3, 3))
     assert np.allclose(net.mu, 1 / 3)
-
-
-def test_validate_network_passthrough(two_swap):
-    net = validate_network(two_swap.omega, two_swap.mu)
-    assert np.array_equal(net.omega, two_swap.omega)
+    with pytest.raises(NonSquareError):
+        uniform_network(np.zeros((2, 3)))
 
 
 def test_dict_round_trip(two_swap):
@@ -132,16 +133,28 @@ def test_labels_must_be_a_list_or_null():
             network_from_dict({**d, "labels": bad})
 
 
-def test_format_inference_and_override(tmp_path, two_swap):
-    path = tmp_path / "n.txt"
-    write_network(two_swap, path, format="csv")
-    back = read_network(path, format="csv")
-    assert np.array_equal(back.omega, two_swap.omega)
+def test_file_name_chooses_format(tmp_path, two_swap):
+    for name, fmt in (("n.csv", "csv"), ("n.json", "json"),
+                      ("n.txt", "json")):
+        path = tmp_path / name
+        write_network(two_swap, path)
+        text = path.read_text()
+        if fmt == "csv":
+            assert text.startswith("mu,")
+        else:
+            assert json.loads(text) == network_to_dict(two_swap)
+        back = read_network(path)
+        assert np.array_equal(back.omega, two_swap.omega)
+        assert np.array_equal(back.mu, two_swap.mu)
 
 
 def test_csv_missing_mu_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,1.0\n1.0,0.0\n")
+    with pytest.raises(ParseError):
+        read_network(path)
+    # a mu line with no omega rows
+    path.write_text("mu,1.0\n")
     with pytest.raises(ParseError):
         read_network(path)
 
