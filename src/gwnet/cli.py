@@ -54,19 +54,33 @@ def _write_rows(rows: list[dict], path, headers: list[str]):
             writer.writerows(rows)
 
 
+def _json_out(path) -> None:
+    """Refuse a .csv name for an output that has only a JSON form."""
+    if _format_for(path) == "csv":
+        raise GwnetError(f"{path}: this output is JSON only; name a file "
+                         "that does not end in .csv")
+
+
 def _load_inputs(paths: list[str]) -> list[tuple[str, MeasureNetwork]]:
-    """Expand directories, read every network file, keep a stable order."""
+    """Expand directories to their files, in name order, skipping names
+    that start with "."; read every file as a network."""
     files: list[Path] = []
     for p in paths:
         p = Path(p)
         if p.is_dir():
             files += sorted(q for q in p.iterdir()
-                            if q.suffix in (".json", ".csv"))
+                            if q.is_file() and not q.name.startswith("."))
         else:
             files.append(p)
     if not files:
         raise GwnetError("no input networks found")
-    return [(f.stem, read_network(f)) for f in files]
+    named = []
+    for f in files:
+        try:
+            named.append((f.stem, read_network(f)))
+        except ParseError as exc:
+            raise ParseError(f"{f}: {exc}") from exc
+    return named
 
 
 def _gw_params(args) -> GwParams:
@@ -83,6 +97,8 @@ def _coupling_payload(coupling, report) -> dict:
 # --------------------------------------------------------------- commands
 
 def _cmd_distance(args) -> int:
+    if args.out:
+        _json_out(args.out)
     X = read_network(args.x)
     Y = read_network(args.y)
     coupling, report = solve_gw(X, Y, _gw_params(args))
@@ -162,6 +178,8 @@ def _tangent_dataset(args):
 
 
 def _cmd_pca(args) -> int:
+    out = Path(args.out or "pca.json")
+    _json_out(out)
     _, ds = _tangent_dataset(args)
     result = tangent_pca(ds, args.components)
     payload = {
@@ -170,7 +188,6 @@ def _cmd_pca(args) -> int:
         "components": result.components.tolist(),
         "baseSize": ds.base.size,
     }
-    out = Path(args.out or "pca.json")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload) + "\n")
     if args.grid:
@@ -195,13 +212,11 @@ def _cmd_featurize(args) -> int:
             for row in csv.reader(fh):
                 if len(row) >= 2:
                     labels[row[0]] = row[1]
+    headers = ["label"] + [f"f{i}" for i in range(feats.shape[1])]
+    rows = [dict(zip(headers, [labels.get(name, name)] + row))
+            for (name, _), row in zip(named, feats.tolist())]
     out = args.out or "features.csv"
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(feats.shape[1])])
-        for (name, _), row in zip(named, feats):
-            writer.writerow([labels.get(name, name)]
-                            + [repr(float(x)) for x in row])
+    _write_rows(rows, out, headers)
     print(f"wrote {out} ({feats.shape[0]} rows, {feats.shape[1]} features)")
     return 0
 

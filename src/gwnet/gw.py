@@ -104,8 +104,14 @@ def _distortion(dis2: float, const: float) -> float:
 
 
 def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
-    """Distortion of a coupling of (mu_X, mu_Y) via the matrix identity;
-    a negative radicand is clamped or raises as in _distortion."""
+    """Square root of <p, X.^2 p> + <q, Y.^2 q> - 2 <C, X C Y^T> with p, q
+    the measures of X and Y; a negative radicand is clamped or raises as in
+    _distortion.
+
+    Any X.size x Y.size matrix C (or Coupling) is accepted. The identity
+    puts p and q in place of C's row and column sums, so the value is the
+    distortion of C only when C is a coupling of (mu_X, mu_Y), which is not
+    checked here."""
     C = _as_matrix(C)
     _check_shapes(X, Y, C)
     return _distortion(*_objective(X, Y, C))

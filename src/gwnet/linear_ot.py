@@ -10,7 +10,9 @@ Two paths, chosen by the input:
   scaled Birkhoff polytope, whose vertices are the permutation matrices
   times that mass (Birkhoff-von Neumann). The problem is then an assignment
   problem, solved exactly by scipy's linear_sum_assignment. Its n entries
-  are the stored masses, so the marginals hold exactly.
+  are the stored masses, so the marginals hold exactly. scipy.optimize
+  takes most of the time of importing gwnet, so it is loaded by the first
+  assignment solve, not on import.
 - every other shape: an exact transportation (network) simplex in Python
   and numpy. It starts from a matrix-minimum spanning tree, prices every
   cell at once with numpy, and keeps its trees strongly feasible, so
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .networks import Coupling, GwnetError, PROB_TOL, _freeze
 
@@ -93,6 +94,12 @@ def _is_assignment(p: np.ndarray, q: np.ndarray) -> bool:
     scaled permutations, found by solving an assignment problem."""
     return (len(p) == len(q) and bool(np.all(p == p[0]))
             and bool(np.all(q == p[0])))
+
+
+def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a minimum-cost assignment of a square cost."""
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment(cost)
 
 
 def _initial_tree(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -304,7 +311,7 @@ def solve_linear_ot(prob: OtProblem,
     elif m == 1:
         matrix = p[:, None].copy()
     elif prob._assignment:
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = _assign(cost)
         matrix = np.zeros((n, m))
         matrix[rows, cols] = p
     else:

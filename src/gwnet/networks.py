@@ -245,7 +245,10 @@ def read_network(path) -> MeasureNetwork:
     """Read a network written by write_network, in the format its name
     gives. Raises ParseError on bad content."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not utf-8 text: {exc}") from exc
     if _format_for(path) == "json":
         try:
             d = json.loads(text)

@@ -315,6 +315,66 @@ def test_network_outputs_read_back_as_named(command, example_files,
     assert np.array_equal(back.mu, expected.mu)
 
 
+@pytest.mark.parametrize("command, name", [("featurize", "f.json"),
+                                           ("distance", "c.csv"),
+                                           ("pca", "p.csv")])
+def test_other_outputs_follow_the_file_name(command, name, family_dir,
+                                            tmp_path, monkeypatch, capsys):
+    indir, nets = family_dir
+    out = tmp_path / name
+    if command == "featurize":
+        assert main(["featurize", str(indir), "--out", str(out)]) == 0
+        ds = vectorize_at_base(nets[0], nets, GwParams(restarts=0,
+                                                       rng_seed=0))
+        feats = featurize(ds)
+        rows = json.loads(out.read_text())
+        assert [row["label"] for row in rows] == [f"net{k}"
+                                                  for k in range(4)]
+        assert np.array_equal([[row[f"f{i}"] for i in range(feats.shape[1])]
+                               for row in rows], feats)
+        return
+
+    # the coupling and the pca payload are JSON only: refused unsolved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(gwnet.cli, "solve_gw", no_solve)
+    monkeypatch.setattr(gwnet.cli, "vectorize_at_base", no_solve)
+    inputs = [str(indir / "net0.json"), str(indir / "net1.json")]
+    assert main([command, *inputs, "--out", str(out)]) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------------------ directories
+
+def test_directory_inputs_are_all_its_files(example_files, tmp_path):
+    X, Y = (read_network(f) for f in example_files)
+    indir = tmp_path / "in"
+    indir.mkdir()
+    # any name but *.csv holds JSON, so x.txt is a network like y.json
+    write_network(X, indir / "x.txt")
+    write_network(Y, indir / "y.json")
+    (indir / ".notes").write_text("names starting with a dot are skipped")
+    out = tmp_path / "mean.json"
+    assert main(["mean", str(indir), "--out", str(out)]) == 0
+    expected = frechet_mean([X, Y], FrechetParams()).network
+    back = read_network(out)
+    assert np.array_equal(back.omega, expected.omega)
+    assert np.array_equal(back.mu, expected.mu)
+
+
+@pytest.mark.parametrize("content", [b"not a network", b"\xff\xfe\x00"])
+def test_a_directory_file_that_does_not_parse_fails(content, example_files,
+                                                    tmp_path, capsys):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_network(read_network(example_files[0]), indir / "x.json")
+    (indir / "z.txt").write_bytes(content)
+    assert main(["mean", str(indir), "--out", str(tmp_path / "m.json")]) == 1
+    assert "z.txt" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ parser
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,8 @@
 import itertools
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,8 +108,7 @@ def test_nearly_uniform_square_takes_the_lp_path(monkeypatch):
     def no_assignment(cost):
         raise AssertionError("assignment path taken for non-uniform q")
 
-    monkeypatch.setattr("gwnet.linear_ot.linear_sum_assignment",
-                        no_assignment)
+    monkeypatch.setattr("gwnet.linear_ot._assign", no_assignment)
     n = 6
     rng = np.random.default_rng(9)
     p = np.full(n, 1.0 / n)
@@ -119,6 +122,28 @@ def test_nearly_uniform_square_takes_the_lp_path(monkeypatch):
     assert np.abs(C.matrix.sum(axis=1) - p).max() < 1e-15
     assert np.abs(C.matrix.sum(axis=0) - q).max() < 1e-15
     assert val == pytest.approx(highs_min_ot(cost, p, q), rel=1e-9)
+
+
+def test_scipy_optimize_loads_on_the_first_assignment_solve():
+    tests = Path(__file__).resolve().parent
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path[:0] = [{str(tests.parent / "src")!r}, {str(tests)!r}]
+        import numpy as np
+        import gwnet, gwnet.cli
+        from gwnet import OtProblem, solve_linear_ot
+        assert "scipy.optimize" not in sys.modules, "loaded on import"
+        p = np.full(5, 0.2)
+        cost = np.random.default_rng(3).standard_normal((5, 5))
+        _, val = solve_linear_ot(OtProblem(cost, p, p))
+        assert "scipy.optimize" in sys.modules, "not loaded by the solve"
+        # the oracle imports scipy.optimize itself, so it comes last
+        from oracles import highs_min_ot
+        assert abs(val - highs_min_ot(cost, p, p)) <= 1e-9 * abs(val)
+        """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_marginals_exact_to_machine_precision():
