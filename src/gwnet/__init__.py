@@ -17,17 +17,15 @@ from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
                  gw_distance, gw_gradient, northwest_corner, random_vertex,
                  solve_gw)
 from .alignment import (AlignedPair, BlowupPlan, aligned_distance, align,
-                        binarize, blow_up, expansion_coupling_source,
-                        expansion_coupling_target, support_size)
+                        binarize, blow_up, support_size)
 from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
                         geodesic_aligned)
 from .tangent import (BaseMismatchError, GeodesicCertificate, TangentVector,
                       exp_map, geodesic_certificate, injectivity_radius,
-                      inner_product, log_map, norm, read_tangent,
-                      tangent_from_dict, tangent_to_dict, write_tangent)
+                      inner_product, log_map, norm)
 from .frechet import (FrechetGradient, FrechetParams, FrechetResult,
                       compress_log, compressed_average, frechet_gradient,
-                      frechet_loss, frechet_mean, sequential_log)
+                      frechet_mean, sequential_log)
 from .analysis import (PcaResult, TangentDataset, featurize,
                        project_along_component, tangent_pca,
                        vectorize_at_base)
@@ -48,16 +46,14 @@ __all__ = [
     "TangentDataset", "TangentVector",
     "aligned_distance", "align", "asymmetry_sweep", "binarize", "blow_up",
     "compress_log", "compressed_average", "default_sbm_spec",
-    "distortion_matrix", "evaluate", "exp_map",
-    "expansion_coupling_source", "expansion_coupling_target", "featurize",
-    "frechet_gradient", "frechet_loss", "frechet_mean", "generate_sbm",
+    "distortion_matrix", "evaluate", "exp_map", "featurize",
+    "frechet_gradient", "frechet_mean", "generate_sbm",
     "geodesic_aligned", "geodesic_certificate",
     "gw_distance", "gw_gradient", "injectivity_radius", "inner_product",
     "log_map", "network_from_dict", "network_to_dict", "norm",
     "northwest_corner", "project_along_component", "random_vertex",
-    "read_network", "read_tangent", "sbm_compression_experiment",
+    "read_network", "sbm_compression_experiment",
     "sequential_log", "solve_gw", "solve_linear_ot", "support_size",
-    "support_size_sweep", "tangent_from_dict", "tangent_pca",
-    "tangent_to_dict", "uniform_network", "vectorize_at_base",
-    "write_network", "write_tangent",
+    "support_size_sweep", "tangent_pca", "uniform_network",
+    "vectorize_at_base", "write_network",
 ]

@@ -53,8 +53,8 @@ class BlowupPlan:
     """Bookkeeping of one expansion.
 
     source_index[k] and target_index[k] give the X node and Y node behind
-    expanded node k; u and v count the copies made of each X and Y node
-    (every node has at least one). expand() replays the row/column
+    expanded node k; u counts the copies made of each X node (every node
+    has at least one). expand() replays the row/column
     replication on a matrix living on the X nodes, which is how tangent
     vectors collected on an older base are carried onto a newer one;
     average() takes a matrix on the expanded nodes back to the X nodes by
@@ -71,10 +71,6 @@ class BlowupPlan:
     @property
     def u(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.source_index).tolist())
-
-    @property
-    def v(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.target_index).tolist())
 
     def expand(self, mat: np.ndarray) -> np.ndarray:
         """Replicate rows/columns of a matrix on X onto the expanded nodes."""
@@ -119,9 +115,6 @@ class AlignedPair:
 
     def base_network(self) -> MeasureNetwork:
         return MeasureNetwork(self.omega_xhat, self.mu_hat)
-
-    def target_network(self) -> MeasureNetwork:
-        return MeasureNetwork(self.omega_yhat, self.mu_hat)
 
 
 def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
@@ -181,15 +174,3 @@ def _expansion_matrix(index, n: int, pair: AlignedPair) -> np.ndarray:
     mat[np.array(index), np.arange(pair.size)] = pair.mu_hat
     return mat
 
-
-def expansion_coupling_source(X: MeasureNetwork, pair: AlignedPair) -> Coupling:
-    """The canonical coupling between X and its expansion: each copy gets
-    its own mass. Certifies that the expansion is at distance zero."""
-    return Coupling(_expansion_matrix(pair.plan.source_index, X.size, pair),
-                    X.mu, pair.mu_hat)
-
-
-def expansion_coupling_target(Y: MeasureNetwork, pair: AlignedPair) -> Coupling:
-    """Canonical coupling between Y and the aligned target expansion."""
-    return Coupling(_expansion_matrix(pair.plan.target_index, Y.size, pair),
-                    Y.mu, pair.mu_hat)

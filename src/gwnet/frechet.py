@@ -25,7 +25,7 @@ import numpy as np
 
 from .networks import (Coupling, DimensionMismatchError, GwnetError,
                        MeasureNetwork, check_count)
-from .gw import GwParams, solve_gw
+from .gw import GwParams
 from .alignment import _expansion_matrix, align, aligned_distance
 from .tangent import TangentVector
 
@@ -78,19 +78,6 @@ def _warm_params(gw_params: GwParams, start: np.ndarray | None) -> GwParams:
         return gw_params
     # a concrete start replaces multi-start: restarts add nothing but cost
     return replace(gw_params, given=start, restarts=0)
-
-
-def frechet_loss(S: list[MeasureNetwork], Z: MeasureNetwork,
-                 params: FrechetParams | None = None) -> float:
-    """Mean squared distance from Z to the members of S."""
-    if not S:
-        raise GwnetError("empty collection")
-    params = params or FrechetParams()
-    total = 0.0
-    for Y in S:
-        _, report = solve_gw(Z, Y, params.gw)
-        total += report.gw_distance ** 2
-    return total / len(S)
 
 
 def _lift_coupling(C: np.ndarray, source_index, mu_old, mu_new) -> np.ndarray:

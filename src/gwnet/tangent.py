@@ -10,16 +10,13 @@ products are taken in L2 of the product measure mu x mu.
 """
 from __future__ import annotations
 
-import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import (GwnetError, MeasureNetwork, ParseError,
-                       network_from_dict, network_to_dict)
+from .networks import GwnetError, MeasureNetwork
 from .gw import GwParams
-from .alignment import AlignedPair, BlowupPlan, align
+from .alignment import AlignedPair, align
 
 
 class BaseMismatchError(GwnetError):
@@ -32,7 +29,6 @@ class TangentVector:
 
     base: MeasureNetwork
     f: np.ndarray
-    plan: BlowupPlan | None = None
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -58,7 +54,7 @@ class TangentVector:
         return TangentVector(self.base, self.f - other.f)
 
     def __mul__(self, s: float) -> "TangentVector":
-        return TangentVector(self.base, float(s) * self.f, self.plan)
+        return TangentVector(self.base, float(s) * self.f)
 
     __rmul__ = __mul__
 
@@ -87,7 +83,7 @@ def log_map(X: MeasureNetwork, Y: MeasureNetwork,
     pair, _ = align(X, Y, params, coupling)
     base = pair.base_network()
     f = pair.omega_yhat - pair.omega_xhat
-    return TangentVector(base=base, f=f, plan=pair.plan), pair
+    return TangentVector(base=base, f=f), pair
 
 
 def exp_map(v: TangentVector) -> MeasureNetwork:
@@ -130,51 +126,3 @@ def geodesic_certificate(X: MeasureNetwork, v: TangentVector) -> GeodesicCertifi
                                log_injective=m < eps / 2.0,
                                radius=eps, max_abs_f=m)
 
-
-def tangent_to_dict(v: TangentVector) -> dict:
-    d = {"base": network_to_dict(v.base), "f": v.f.tolist()}
-    if v.plan is not None:
-        d["plan"] = {"source_index": list(v.plan.source_index),
-                     "target_index": list(v.plan.target_index),
-                     "u": list(v.plan.u), "v": list(v.plan.v)}
-    return d
-
-
-def tangent_from_dict(d: dict) -> TangentVector:
-    """Inverse of tangent_to_dict. Raises ParseError on missing or
-    non-numeric fields, and on a plan whose copy counts u and v or size
-    disagree with its indices and base."""
-    if not isinstance(d, dict) or "base" not in d or "f" not in d:
-        raise ParseError("tangent object needs 'base' and 'f' fields")
-    base = network_from_dict(d["base"])
-    try:
-        f = np.array(d["f"], dtype=float)
-        plan = None
-        if "plan" in d:
-            src, tgt, u, v = (tuple(operator.index(k) for k in d["plan"][key])
-                              for key in ("source_index", "target_index",
-                                          "u", "v"))
-            plan = BlowupPlan(src, tgt)
-            if (len(src), len(tgt)) != (base.size, base.size) \
-                    or (plan.u, plan.v) != (u, v):
-                raise ValueError("plan counts or size disagree with its "
-                                 "indices and base")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed tangent data: {exc!r}") from exc
-    return TangentVector(base=base, f=f, plan=plan)
-
-
-def write_tangent(v: TangentVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(tangent_to_dict(v)) + "\n")
-
-
-def read_tangent(path) -> TangentVector:
-    """Read a vector written by write_tangent. Raises ParseError on bad content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid json: {exc}") from exc
-    return tangent_from_dict(d)

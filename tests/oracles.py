@@ -5,9 +5,11 @@ spanning trees, the larger transport oracle calls scipy's HiGHS directly,
 the objective is the explicit four-index sum, gradients come from finite
 differences, the naive geodesic walks the coupling's support in the
 product space, and the PCA oracle is a dense decomposition in rescaled
-coordinates. Slow on purpose; keep sizes tiny. Only the naive geodesic
-touches gwnet, for its network type and errors, so that tests can use it
-in place of the library's geodesics.
+coordinates. Slow on purpose; keep sizes tiny. Only a few helpers touch
+gwnet, for its public types and errors, so that tests can use them where
+the library's own results go: the naive geodesic, the couplings of a
+network with its expansion, and the Frechet loss from cold distance
+solves.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from gwnet import DimensionMismatchError, MeasureNetwork, OutOfRangeError
+from gwnet import (Coupling, DimensionMismatchError, GwnetError,
+                   MeasureNetwork, OutOfRangeError, gw_distance)
 
 
 def _tree_flows(edges, p, q, n, m):
@@ -213,6 +216,35 @@ def geodesic_naive(X, Y, C):
         return MeasureNetwork((1.0 - t) * wx + t * wy, masses)
 
     return at
+
+
+def _copy_coupling(net, index, mu_hat) -> Coupling:
+    """Coupling of net with an expansion of it in which expanded node k
+    is a copy of node index[k] and keeps its own mass mu_hat[k]. Every
+    copy pair then carries the weight of its original pair, so the
+    distortion is zero."""
+    mat = np.zeros((net.size, len(mu_hat)))
+    for k, i in enumerate(index):
+        mat[i, k] = mu_hat[k]
+    return Coupling(mat, net.mu, mu_hat)
+
+
+def expansion_coupling_source(X, pair) -> Coupling:
+    """Coupling of X with the expanded base of an aligned pair."""
+    return _copy_coupling(X, pair.plan.source_index, pair.mu_hat)
+
+
+def expansion_coupling_target(Y, pair) -> Coupling:
+    """Coupling of Y with the expanded target of an aligned pair."""
+    return _copy_coupling(Y, pair.plan.target_index, pair.mu_hat)
+
+
+def frechet_loss(S, Z, params=None) -> float:
+    """Mean squared distance from Z to the members of S, each from a cold
+    solve with the GwParams params."""
+    if not S:
+        raise GwnetError("empty collection")
+    return sum(gw_distance(Z, Y, params) ** 2 for Y in S) / len(S)
 
 
 def dense_weighted_pca(rows, weights):

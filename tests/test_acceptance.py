@@ -14,8 +14,7 @@ import pytest
 
 from gwnet import (Coupling, FrechetParams, GwParams, MeasureNetwork,
                    TangentDataset, blow_up, default_sbm_spec,
-                   distortion_matrix, evaluate,
-                   exp_map, expansion_coupling_target, featurize,
+                   distortion_matrix, evaluate, exp_map, featurize,
                    frechet_gradient, frechet_mean, generate_sbm,
                    geodesic_aligned, gw_distance, gw_gradient, log_map,
                    random_vertex, sbm_compression_experiment, solve_gw,
@@ -23,8 +22,9 @@ from gwnet import (Coupling, FrechetParams, GwParams, MeasureNetwork,
                    vectorize_at_base)
 
 from conftest import REPORT_LINES, psd_network, random_network
-from oracles import (brute_min_gw, dense_weighted_pca, fd_gradient,
-                     gw_objective, half_sample_block_means, relabeled_gap)
+from oracles import (brute_min_gw, dense_weighted_pca,
+                     expansion_coupling_target, fd_gradient, gw_objective,
+                     half_sample_block_means, relabeled_gap)
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:

@@ -26,7 +26,6 @@ def test_removed_names_stay_removed():
     assert "lift" not in [f.name for f in fields(gwnet.FrechetGradient)]
     for name in ("FULL_STEPS", "ARMIJO_BETA", "ARMIJO_SIGMA"):
         assert not hasattr(gwnet.frechet, name), name
-    assert "warm" not in inspect.signature(gwnet.frechet_loss).parameters
     assert not hasattr(gwnet, "distortion_tensor")
     assert "distortion_tensor" not in gwnet.__all__
     assert not hasattr(gwnet.gw, "distortion_tensor")
@@ -49,6 +48,21 @@ def test_removed_names_stay_removed():
     # a file's name alone chooses its format
     for func in (gwnet.write_network, gwnet.read_network):
         assert "format" not in inspect.signature(func).parameters
+    # no program read or wrote tangent files; the expansion couplings and
+    # the cold-solve loss are test oracles
+    for module, names in (
+            (gwnet.tangent, ("tangent_to_dict", "tangent_from_dict",
+                             "write_tangent", "read_tangent")),
+            (gwnet.alignment, ("expansion_coupling_source",
+                               "expansion_coupling_target")),
+            (gwnet.frechet, ("frechet_loss",))):
+        for name in names:
+            assert not hasattr(gwnet, name), name
+            assert name not in gwnet.__all__, name
+            assert not hasattr(module, name), name
+    assert "plan" not in [f.name for f in fields(gwnet.TangentVector)]
+    assert not hasattr(gwnet.BlowupPlan, "v")
+    assert not hasattr(gwnet.AlignedPair, "target_network")
 
 
 def test_solver_and_mean_settings():

@@ -1,16 +1,13 @@
-import json
-
 import numpy as np
 import pytest
 
 from gwnet import (BaseMismatchError, Coupling, GwParams, GwnetError,
-                   MeasureNetwork, ParseError, TangentVector, aligned_distance,
-                   exp_map, expansion_coupling_target, geodesic_certificate,
-                   gw_distance, injectivity_radius, inner_product, log_map,
-                   norm, read_tangent, tangent_from_dict, tangent_to_dict,
-                   uniform_network, write_tangent)
+                   MeasureNetwork, TangentVector, aligned_distance, exp_map,
+                   geodesic_certificate, gw_distance, injectivity_radius,
+                   inner_product, log_map, norm, uniform_network)
 
 from conftest import random_network
+from oracles import expansion_coupling_target
 
 
 def _one_node_log(one_node, two_swap):
@@ -150,70 +147,3 @@ def test_certificate_thresholds(two_swap):
     huge = TangentVector(two_swap, np.full((2, 2), 0.6))
     assert not geodesic_certificate(two_swap, huge).geodesic
 
-
-# ------------------------------------------------------------ serialization
-
-def test_tangent_json_round_trip(tmp_path, one_node, two_swap):
-    v, _ = _one_node_log(one_node, two_swap)
-    d = tangent_to_dict(v)
-    back = tangent_from_dict(d)
-    assert np.array_equal(back.f, v.f)
-    assert np.array_equal(back.base.omega, v.base.omega)
-    assert back.plan == v.plan
-
-    path = tmp_path / "vector.json"
-    write_tangent(v, path)
-    # the file holds exactly what json.dump writes
-    with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
-        json.dump(d, fh)
-        fh.write("\n")
-    assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
-    again = read_tangent(path)
-    assert np.array_equal(again.f, v.f)
-    assert np.array_equal(again.base.mu, v.base.mu)
-    assert again.plan == v.plan
-
-
-def test_tangent_round_trip_without_plan(tmp_path, two_swap):
-    v = TangentVector(two_swap, np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    path = tmp_path / "bare.json"
-    write_tangent(v, path)
-    back = read_tangent(path)
-    assert back.plan is None
-    assert np.array_equal(back.f, v.f)
-
-
-def test_read_tangent_rejects_malformed_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"base": {"omega": [[0.0]], "mu": [1.0]}, "f": [[0')
-    with pytest.raises(ParseError):
-        read_tangent(path)
-
-
-@pytest.mark.parametrize("edit", [
-    lambda d: d.pop("base"),
-    lambda d: d.pop("f"),
-    lambda d: d["base"].pop("mu"),
-    lambda d: d["plan"].pop("u"),
-    lambda d: d.__setitem__("f", [["a", "b", "c"]] * 3),
-    lambda d: d["base"].__setitem__("omega", "abc"),
-    lambda d: d["plan"].__setitem__("source_index", [0, "x", 1]),
-    # counts that disagree with the indices
-    lambda d: d["plan"].__setitem__("u", [5]),
-    # a consistent plan of one node for a two-node base
-    lambda d: d["plan"].update(source_index=[0], target_index=[0], u=[1],
-                               v=[1]),
-    # target indices for one node of a two-node base
-    lambda d: d["plan"].update(target_index=[0], v=[1]),
-])
-def test_tangent_from_dict_rejects_missing_or_non_numeric_fields(
-        edit, tmp_path, one_node, two_swap):
-    v, _ = _one_node_log(one_node, two_swap)
-    d = tangent_to_dict(v)
-    edit(d)
-    with pytest.raises(ParseError):
-        tangent_from_dict(d)
-    path = tmp_path / "vector.json"
-    path.write_text(json.dumps(d))
-    with pytest.raises(ParseError):
-        read_tangent(path)
