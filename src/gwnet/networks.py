@@ -63,9 +63,11 @@ class MeasureNetwork:
     """A weighted network with a probability measure on its nodes.
 
     omega is the n x n weight matrix, mu the length-n node measure. Entries
-    of mu must be strictly positive and sum to 1 within PROB_TOL; the stored
-    mu is renormalized to sum exactly to 1 so that marginal constraints
-    downstream do not accumulate error. Arrays are stored read-only.
+    of mu must be strictly positive and sum to 1 within PROB_TOL. A mu whose
+    float sum is off 1 by more than n ulps is divided by that sum, which
+    brings it within n ulps; any other mu is stored as given, so that
+    rebuilding a network from its own arrays, or reading back its file,
+    gives the same bits. Arrays are stored read-only.
     """
 
     omega: np.ndarray
@@ -91,7 +93,9 @@ class MeasureNetwork:
         if abs(total - 1.0) > PROB_TOL:
             raise NonProbabilityError(f"mu sums to {total}, expected 1")
         object.__setattr__(self, "omega", _freeze(omega))
-        object.__setattr__(self, "mu", _freeze(mu / total))
+        if abs(total - 1.0) > n * np.finfo(float).eps:
+            mu = mu / total
+        object.__setattr__(self, "mu", _freeze(mu))
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != n:

@@ -6,7 +6,8 @@ from gwnet import (Coupling, DimensionMismatchError, FrechetGradient,
                    FrechetParams, GwParams, GwnetError, MeasureNetwork,
                    TangentVector, compress_log, compressed_average,
                    frechet_gradient, frechet_mean, gw_distance,
-                   inner_product, sequential_log, uniform_network)
+                   inner_product, read_network, sequential_log,
+                   uniform_network, write_network)
 
 from conftest import diagonal_start, random_network
 from oracles import frechet_loss
@@ -228,6 +229,23 @@ def test_mean_rejects_an_empty_collection():
     with pytest.raises(GwnetError):
         frechet_mean([])
 
+
+def test_mean_of_read_back_members_is_the_same_mean(tmp_path):
+    # the float sum of a uniform measure on 6 or 7 nodes is not exactly 1,
+    # so a member whose measure is divided by it again on reading changes
+    # its last bits, and the mean's near-tied alignments fork on them
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        members = [MeasureNetwork(rng.random((n, n)), np.full(n, 1.0 / n))
+                   for n in rng.integers(5, 9, size=5)]
+        copies = []
+        for k, Y in enumerate(members):
+            write_network(Y, tmp_path / f"m{k}.json")
+            copies.append(read_network(tmp_path / f"m{k}.json"))
+        a, b = frechet_mean(members), frechet_mean(copies)
+        assert a.loss == b.loss, seed
+        assert np.array_equal(a.network.omega, b.network.omega), seed
+        assert np.array_equal(a.network.mu, b.network.mu), seed
 
 # ------------------------------------------------------------- compression
 

@@ -90,8 +90,9 @@ def test_negative_radicand_raises_a_typed_error(two_swap, monkeypatch):
 
 def test_rounding_below_zero_at_scale_is_clamped():
     # 1e8-scale weights against themselves: the radicand rounds to -2.0
-    # against a constant of about 1.7e16, which the clamp absorbs
-    rng = np.random.default_rng(0)
+    # against a constant of about 1.7e16, which the clamp absorbs (seed 18
+    # is one of the 44 among 0-199 whose draw rounds below zero)
+    rng = np.random.default_rng(18)
     n = rng.integers(2, 8)
     X = uniform_network(1e8 * rng.standard_normal((n, n)))
     C = np.diag(X.mu)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwnet import (Coupling, GwnetError, MeasureNetwork, NonFiniteEntryError,
                    NonProbabilityError, NonSquareError, ParseError,
@@ -113,6 +114,44 @@ def test_csv_round_trip_exact(tmp_path):
     back = read_network(path)
     assert np.array_equal(back.omega, net.omega)
     assert np.array_equal(back.mu, net.mu)
+
+
+@st.composite
+def _networks(draw):
+    """Networks of 1-12 nodes with asymmetric weights of any sign, constant
+    weights or 1e8-scale weights, under the uniform measure or a Dirichlet
+    draw with entries down to 1e-12."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = draw(st.sampled_from(["normal", "constant", "1e8"]))
+    if weights == "constant":
+        omega = np.full((n, n), draw(st.floats(-1e3, 1e3)))
+    else:
+        omega = rng.standard_normal((n, n)) * (1e8 if weights == "1e8" else 1)
+    if draw(st.booleans()):
+        mu = np.full(n, 1.0 / n)
+    else:
+        alpha = draw(st.sampled_from([0.05, 1.0, 20.0]))
+        mu = np.maximum(rng.dirichlet(np.full(n, alpha)), 1e-12)
+        mu /= mu.sum()
+    return MeasureNetwork(omega, mu)
+
+
+def _same_bits(a: MeasureNetwork, b: MeasureNetwork) -> bool:
+    return (a.omega.tobytes() == b.omega.tobytes()
+            and a.mu.tobytes() == b.mu.tobytes())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_networks())
+def test_property_networks_rebuild_and_read_back_bit_for_bit(
+        tmp_path_factory, net):
+    assert _same_bits(MeasureNetwork(net.omega, net.mu), net)
+    assert _same_bits(net.with_omega(net.omega), net)
+    folder = tmp_path_factory.mktemp("round_trip")
+    for name in ("net.json", "net.csv"):
+        write_network(net, folder / name)
+        assert _same_bits(read_network(folder / name), net), name
 
 
 def test_labels_round_trip(tmp_path):
