@@ -54,9 +54,9 @@ class BlowupPlan:
 
     source_index[k] and target_index[k] give the X node and Y node behind
     expanded node k; u counts the copies made of each X node (every node
-    has at least one). expand() replays the row/column
-    replication on a matrix living on the X nodes, which is how tangent
-    vectors collected on an older base are carried onto a newer one;
+    has at least one). expand() replays the row/column replication on a
+    matrix living on the X nodes, which is how tangent vectors collected
+    on an older base are carried onto a newer one;
     average() takes a matrix on the expanded nodes back to the X nodes by
     averaging over the copies.
     """
