@@ -10,7 +10,9 @@ tangent vectors and means are built on.
 
 This module alone decides which entries form the support (_support_mask)
 and how matrices move between a network and its expansion (BlowupPlan):
-support_size(C) is always the node count blow_up makes from C.
+support_size(C) is always the node count blow_up makes from C. glue blows
+X up once for several couplings, into the common refinement of their
+blow-ups, on which every member's coupling is diagonal.
 """
 from __future__ import annotations
 
@@ -54,11 +56,8 @@ class BlowupPlan:
 
     source_index[k] and target_index[k] give the X node and Y node behind
     expanded node k; u counts the copies made of each X node (every node
-    has at least one). expand() replays the row/column replication on a
-    matrix living on the X nodes, which is how tangent vectors collected
-    on an older base are carried onto a newer one;
-    average() takes a matrix on the expanded nodes back to the X nodes by
-    averaging over the copies.
+    has at least one). average() takes a matrix on the expanded nodes back
+    to the X nodes by averaging over the copies.
     """
 
     source_index: tuple[int, ...]
@@ -71,11 +70,6 @@ class BlowupPlan:
     @property
     def u(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.source_index).tolist())
-
-    def expand(self, mat: np.ndarray) -> np.ndarray:
-        """Replicate rows/columns of a matrix on X onto the expanded nodes."""
-        idx = np.array(self.source_index)
-        return _square(mat, len(self.u), "source")[np.ix_(idx, idx)]
 
     def average(self, mat: np.ndarray) -> np.ndarray:
         """Block average of a matrix on the expanded nodes: entry (i, i') is
@@ -117,15 +111,11 @@ class AlignedPair:
         return MeasureNetwork(self.omega_xhat, self.mu_hat)
 
 
-def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
-    """Expand a coupling of X and Y into an aligned pair.
-
-    C must be a coupling of (mu_X, mu_Y); its matrix is checked against
-    the two measures. Masses are renormalized per source row so that the
-    copies of each X node reproduce its measure exactly. The expansion has
-    support_size(C) nodes: at most n + m - 1 on a vertex coupling and up
-    to n * m on an interior one, which is not thinned first.
-    """
+def _pieces(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support entries (src, tgt) of C in row-major order, with their
+    masses renormalized per source row so that each row sums to mu_X.
+    C's matrix is checked against the two measures."""
     mat = C.matrix
     # C was checked against its own marginals when it was built
     if not (np.array_equal(C.row_marginal, X.mu)
@@ -141,11 +131,87 @@ def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
     for i in np.flatnonzero(counts > 1).tolist():
         sums[i] = masses[ends[i] - counts[i]:ends[i]].sum()
     masses *= (X.mu / sums)[src]
+    return src, tgt, masses
+
+
+def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
+    """Expand a coupling of X and Y into an aligned pair.
+
+    C must be a coupling of (mu_X, mu_Y); its matrix is checked against
+    the two measures. Masses are renormalized per source row so that the
+    copies of each X node reproduce its measure exactly. The expansion has
+    support_size(C) nodes: at most n + m - 1 on a vertex coupling and up
+    to n * m on an interior one, which is not thinned first.
+    """
+    src, tgt, masses = _pieces(X, Y, C)
     return AlignedPair(omega_xhat=X.omega[np.ix_(src, src)],
                        omega_yhat=Y.omega[np.ix_(tgt, tgt)],
                        mu_hat=masses,
                        plan=BlowupPlan(tuple(src.tolist()),
                                        tuple(tgt.tolist())))
+
+
+def _key(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """(row, position) pairs as complex numbers, which numpy sorts and
+    searches lexicographically: by row, then by position in the row."""
+    return rows + 1j * pos
+
+
+def glue(X: MeasureNetwork, members: list[MeasureNetwork],
+         couplings: list[Coupling]) -> list[AlignedPair]:
+    """Blow X up once for a coupling to each member: one aligned pair per
+    member, all on the same base.
+
+    The blow-up of C_k cuts mu_X(x) into consecutive pieces, one per
+    support entry of row x in column order. The glued base cuts mu_X(x) at
+    the union of all members' cut points, and each resulting piece is one
+    node (x, y_1, ..., y_K), where y_k is the member node whose piece holds
+    it. Cut points within SUPPORT_REL_THRESHOLD * mu_X(x) of the one before
+    them or of the row's end are dropped, so rounding leaves no slivers.
+    Summed over each node's copies, member k's diagonal coupling is its
+    blow-up's up to those dropped slivers, so each pair certifies C_k's
+    distortion. The base has at
+    most X.size + sum_k (support_size(C_k) - X.size) nodes and does not
+    depend on the order of the members.
+    """
+    cuts, targets = [], []
+    for Y, C in zip(members, couplings):
+        src, tgt, masses = _pieces(X, Y, C)
+        running = np.zeros(C.matrix.shape)
+        running[src, tgt] = masses
+        ends = np.cumsum(running, axis=1)[src, tgt]
+        inner = np.flatnonzero(src[1:] == src[:-1])  # not last in its row
+        cuts.append(_key(src[inner], ends[inner]))
+        targets.append(tgt)
+    points = np.sort(np.concatenate(cuts))
+    row, pos = points.real.astype(int), points.imag
+    prev = np.where(_starts(row), 0.0, np.r_[0.0, pos[:-1]])
+    eps = SUPPORT_REL_THRESHOLD * X.mu[row]
+    keep = (pos - prev > eps) & (X.mu[row] - pos > eps)
+    # the kept cuts and each row's end, in (row, position) order
+    points = np.sort(np.concatenate([points[keep],
+                                     _key(np.arange(X.size), X.mu)]))
+    row, end = points.real.astype(int), points.imag
+    start = np.where(_starts(row), 0.0, np.r_[0.0, end[:-1]])
+    mu_hat = end - start
+    mids = _key(row, start + mu_hat / 2)
+    omega_xhat = X.omega[np.ix_(row, row)]
+    src = tuple(row.tolist())
+    pairs = []
+    for Y, cut, tgt in zip(members, cuts, targets):
+        # member entries before a piece: those of earlier rows, one more
+        # than their cuts per row, and those of its row cut below it
+        y = tgt[row + np.searchsorted(cut, mids)]
+        pairs.append(AlignedPair(omega_xhat=omega_xhat,
+                                 omega_yhat=Y.omega[np.ix_(y, y)],
+                                 mu_hat=mu_hat,
+                                 plan=BlowupPlan(src, tuple(y.tolist()))))
+    return pairs
+
+
+def _starts(row: np.ndarray) -> np.ndarray:
+    """Where a sorted row index array starts a new row."""
+    return np.diff(row, prepend=-1) != 0
 
 
 def aligned_distance(pair: AlignedPair) -> float:

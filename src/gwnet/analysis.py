@@ -1,12 +1,13 @@
 """Vectorization of network collections at a common base, and principal
 component analysis in the tangent space.
 
-Every network is log-mapped onto a running base (the same sequential
-bookkeeping the mean iteration uses); the flattened aligned differences
-form a data matrix whose natural inner product is weighted by the products
-mu_i mu_j of the base measure. PCA happens in that weighted geometry via
-the k x k Gram matrix of centered rows, which is cheap because collections
-are small while the flattened dimension is the squared base size.
+Every network is log-mapped onto one common blow-up of the base (the
+same gluing of alignments the mean iteration uses); the flattened aligned
+differences form a data matrix whose natural inner product is weighted by
+the products mu_i mu_j of the base measure. PCA happens in that weighted
+geometry via the k x k Gram matrix of centered rows, which is cheap
+because collections are small while the flattened dimension is the
+squared base size.
 """
 from __future__ import annotations
 
@@ -54,10 +55,11 @@ class PcaResult:
 
 def vectorize_at_base(base: MeasureNetwork, nets: list[MeasureNetwork],
                       gw_params: GwParams | None = None) -> TangentDataset:
-    """Log-map each network onto the (possibly growing) base and flatten.
+    """Log-map each network onto one common blow-up of the base and
+    flatten.
 
-    Rows are omega_target_k - omega_base on the final common base, in
-    row-major order.
+    Rows are omega_target_k - omega_base on that common base, in row-major
+    order.
     """
     if not nets:
         raise GwnetError("empty collection")

@@ -61,15 +61,19 @@ def _json_out(path) -> None:
                          "that does not end in .csv")
 
 
-def _load_inputs(paths: list[str]) -> list[tuple[str, MeasureNetwork]]:
+def _load_inputs(paths: list[str], outputs: tuple[Path, ...] = ()
+                 ) -> list[tuple[str, MeasureNetwork]]:
     """Expand directories to their files, in name order, skipping names
-    that start with "."; read every file as a network."""
+    that start with "." and the command's own outputs; read every file as
+    a network."""
+    outputs = {q.resolve() for q in outputs}
     files: list[Path] = []
     for p in paths:
         p = Path(p)
         if p.is_dir():
             files += sorted(q for q in p.iterdir()
-                            if q.is_file() and not q.name.startswith("."))
+                            if q.is_file() and not q.name.startswith(".")
+                            and q.resolve() not in outputs)
         else:
             files.append(p)
     if not files:
@@ -142,13 +146,14 @@ def _frechet_params(args) -> FrechetParams:
 
 
 def _cmd_mean(args) -> int:
-    nets = [net for _, net in _load_inputs(args.inputs)]
+    out = Path(args.out or "mean.json")
+    trace_path = out.with_suffix(out.suffix + ".trace.csv")
+    # a directory that holds an earlier run's outputs still means its inputs
+    nets = [net for _, net in _load_inputs(args.inputs, (out, trace_path))]
     seed = read_network(args.seed_net) if args.seed_net else args.seed_size
     params = _frechet_params(args)
     result = frechet_mean(nets, params, seed=seed, seed_rng=args.seed)
-    out = Path(args.out or "mean.json")
     write_network(result.network, out)
-    trace_path = out.with_suffix(out.suffix + ".trace.csv")
     with open(trace_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "loss", "baseSize"])

@@ -1,9 +1,9 @@
 """Averages of network collections by gradient flow in tangent space.
 
-One gradient evaluation log-maps every member of the collection onto a
-running base: each alignment may expand the base, and the target matrices
-collected so far are replicated onto the expanded node set so that at the
-end everything lives on one common base. The gradient there is
+One gradient evaluation aligns every member of the collection to the
+current base, then glues the alignments into one blow-up of that base on
+which each member's coupling is diagonal, so that all aligned members live
+on one common base. The gradient there is
 
     g = 2 (omega_base - mean_k omega_target_k)
 
@@ -25,8 +25,8 @@ import numpy as np
 
 from .networks import (Coupling, DimensionMismatchError, GwnetError,
                        MeasureNetwork, check_count)
-from .gw import GwParams
-from .alignment import _expansion_matrix, align, aligned_distance
+from .gw import GwParams, solve_gw
+from .alignment import _expansion_matrix, align, aligned_distance, glue
 from .tangent import TangentVector
 
 
@@ -80,54 +80,37 @@ def _warm_params(gw_params: GwParams, start: np.ndarray | None) -> GwParams:
     return replace(gw_params, given=start, restarts=0)
 
 
-def _lift_coupling(C: np.ndarray, source_index, mu_old, mu_new) -> np.ndarray:
-    """Carry a coupling on an old base onto its expansion, splitting each
-    row's mass across the node's copies in proportion to their measures."""
-    idx = np.asarray(source_index)
-    return C[idx, :] * (mu_new / mu_old[idx])[:, None]
-
-
 @dataclass
 class _SequentialLog:
-    base: MeasureNetwork          # common base after all alignments
-    targets: list                 # aligned member weights on the final base
+    base: MeasureNetwork          # common base: one blow-up of X for all
+    targets: list                 # aligned member weights on the base
     distances: list               # per-member distance its alignment certifies
-    couplings: list               # per-member coupling from the final base
+    couplings: list               # per-member coupling from the base
 
 
 def sequential_log(X: MeasureNetwork, S: list[MeasureNetwork],
                    gw_params: GwParams,
                    warm: list | None = None) -> _SequentialLog:
-    """Log-map every member of S onto a base that starts at X and grows.
+    """Log-map every member of S onto one common blow-up of X.
 
-    Earlier members' aligned weights are replicated onto each expansion so
-    the result is one common base plus one aligned weight matrix per
-    member. couplings starts as the warm starts, one coupling from X to
-    each member, and ends as each member's coupling from the final base.
+    Each member is aligned to X itself, from its warm start if given (one
+    coupling from X to each member). The couplings are then glued into one
+    base on which each of them is diagonal, so the result is that base plus
+    one aligned weight matrix per member, and the distances are those of
+    the members' own solves. couplings are the members' diagonal couplings
+    from the base, the warm starts of a next call at it.
     """
-    base = X
-    targets: list[np.ndarray] = []
-    couplings = _check_warm(warm, X, S)
-    distances: list[float] = []
-    for k, Y in enumerate(S):
-        gwp = _warm_params(gw_params, couplings[k])
-        pair, _ = align(base, Y, gwp)
-        plan = pair.plan
-        if pair.size != base.size:
-            # an expansion happened: replicate everything collected so far,
-            # the couplings of earlier members and the warm starts of later
-            targets = [plan.expand(T) for T in targets]
-            couplings = [
-                C if j == k or C is None
-                else _lift_coupling(C, plan.source_index, base.mu, pair.mu_hat)
-                for j, C in enumerate(couplings)]
-        # the member's own coupling from the new base is the diagonal one
-        couplings[k] = _expansion_matrix(plan.target_index, Y.size, pair).T
-        targets.append(pair.omega_yhat)
-        distances.append(aligned_distance(pair))
-        base = pair.base_network()
-    return _SequentialLog(base=base, targets=targets, distances=distances,
-                          couplings=couplings)
+    if not S:
+        raise GwnetError("empty collection")
+    couplings = [solve_gw(X, Y, _warm_params(gw_params, start))[0]
+                 for Y, start in zip(S, _check_warm(warm, X, S))]
+    pairs = glue(X, S, couplings)
+    return _SequentialLog(
+        base=pairs[0].base_network(),
+        targets=[pair.omega_yhat for pair in pairs],
+        distances=[aligned_distance(pair) for pair in pairs],
+        couplings=[_expansion_matrix(pair.plan.target_index, Y.size, pair).T
+                   for Y, pair in zip(S, pairs)])
 
 
 @dataclass(frozen=True)

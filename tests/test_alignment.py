@@ -160,21 +160,12 @@ def test_property_blow_up_keeps_support_marginals_and_distortion(case):
 
 # --------------------------------------------------------- expansion plan
 
-def test_plan_expand_replays_the_replication(one_node, two_swap):
+def test_plan_average_is_the_block_mean(one_node, two_swap):
     C = Coupling(np.array([[0.5, 0.5]]), one_node.mu, two_swap.mu)
     pair = blow_up(one_node, two_swap, C)
-    assert np.array_equal(pair.plan.expand(np.array([[7.0]])),
-                          np.full((2, 2), 7.0))
-    # and the block average takes it back over the 2 x 2 copy pairs
+    # the one node's block is all 2 x 2 copy pairs
     assert np.array_equal(pair.plan.average(np.arange(4.0).reshape(2, 2)),
                           [[1.5]])
-
-
-def test_plan_expand_checks_shapes(one_node, two_swap):
-    pair = blow_up(one_node, two_swap,
-                   Coupling(np.array([[0.5, 0.5]]), one_node.mu, two_swap.mu))
-    with pytest.raises(GwnetError):
-        pair.plan.expand(np.zeros((2, 2)))
 
 
 def test_expansion_couplings_certify_zero_distance():

@@ -63,6 +63,10 @@ def test_removed_names_stay_removed():
     assert "plan" not in [f.name for f in fields(gwnet.TangentVector)]
     assert not hasattr(gwnet.BlowupPlan, "v")
     assert not hasattr(gwnet.AlignedPair, "target_network")
+    # the mean's base is glued in one step, so nothing replays or lifts
+    # onto a grown base
+    assert not hasattr(gwnet.BlowupPlan, "expand")
+    assert not hasattr(gwnet.frechet, "_lift_coupling")
 
 
 def test_solver_and_mean_settings():

@@ -364,6 +364,27 @@ def test_directory_inputs_are_all_its_files(example_files, tmp_path):
     assert np.array_equal(back.mu, expected.mu)
 
 
+def test_mean_into_its_input_directory_runs_again(example_files, tmp_path,
+                                                 capsys):
+    X, Y = (read_network(f) for f in example_files)
+    indir = tmp_path / "in"
+    indir.mkdir()
+    write_network(X, indir / "x.json")
+    write_network(Y, indir / "y.json")
+    out = indir / "mean.json"
+    printed = []
+    for _ in range(2):
+        assert main(["mean", str(indir), "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0].startswith("loss ")
+    assert printed[1] == printed[0]
+    # the earlier output is read when it is named
+    M = read_network(out)
+    assert main(["mean", str(indir), str(out), "--out", str(out)]) == 0
+    loss = frechet_mean([X, Y, M], FrechetParams()).loss
+    assert capsys.readouterr().out.startswith(f"loss {loss:.9f} ")
+
+
 @pytest.mark.parametrize("content", [b"not a network", b"\xff\xfe\x00"])
 def test_a_directory_file_that_does_not_parse_fails(content, example_files,
                                                     tmp_path, capsys):

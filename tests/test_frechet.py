@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gwnet.frechet
 from gwnet import (Coupling, DimensionMismatchError, FrechetGradient,
                    FrechetParams, GwParams, GwnetError, MeasureNetwork,
                    TangentVector, compress_log, compressed_average,
                    frechet_gradient, frechet_mean, gw_distance,
-                   inner_product, read_network, sequential_log,
-                   uniform_network, write_network)
+                   inner_product, read_network, sequential_log, solve_gw,
+                   support_size, uniform_network, vectorize_at_base,
+                   write_network)
+from gwnet.alignment import glue
 
 from conftest import diagonal_start, random_network
 from oracles import frechet_loss
@@ -136,6 +139,82 @@ def test_warm_starts_must_couple_the_measures(compress):
     for bad in (np.zeros((4, 3)), 2 * product):
         with pytest.raises(GwnetError):
             frechet_gradient(S, X, params, warm=[product, bad])
+
+
+# --------------------------------------------------------- sequential log
+
+def _size_bound(X, couplings):
+    """Nodes of the common refinement of the couplings' blow-ups, at most."""
+    return X.size + sum(support_size(C) - X.size for C in couplings)
+
+
+def test_a_constant_base_does_not_multiply():
+    # a constant base makes every alignment's objective flat, so each solve
+    # keeps its full product support; the base grows by 7 per member
+    rng = np.random.default_rng(1)
+    X = MeasureNetwork([[0.7]], [1.0])
+    S = [MeasureNetwork(rng.standard_normal((8, 8)), rng.dirichlet(np.ones(8)))
+         for _ in range(3)]
+    seq = sequential_log(X, S, GwParams())
+    assert seq.base.size == 22
+    assert vectorize_at_base(X, S).base.size == 22
+    couplings = [solve_gw(X, Y, GwParams())[0] for Y in S]
+    assert seq.base.size <= _size_bound(X, couplings)
+
+
+@st.composite
+def _collections(draw):
+    """A base and 1-5 members of 1-12 nodes: asymmetric standard normal
+    weights at a drawn scale, uniform or Dirichlet masses; and an order of
+    the members."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def network():
+        n = draw(st.integers(1, 12))
+        mu = rng.dirichlet(np.ones(n)) if draw(st.booleans()) \
+            else np.full(n, 1.0 / n)
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        return MeasureNetwork(scale * rng.standard_normal((n, n)), mu)
+
+    X = network()
+    S = [network() for _ in range(draw(st.integers(1, 5)))]
+    return X, S, draw(st.permutations(range(len(S))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_collections())
+def test_property_glued_base_keeps_every_alignment(case):
+    X, S, order = case
+    params = GwParams(max_outer_iters=30)
+    solved = [solve_gw(X, Y, params) for Y in S]
+    seq = sequential_log(X, S, params)
+    for (_, report), d in zip(solved, seq.distances):
+        assert d == pytest.approx(report.gw_distance, rel=1e-9, abs=0)
+    for Y, C in zip(S, seq.couplings):
+        Coupling(C, seq.base.mu, Y.mu)
+    couplings = [C for C, _ in solved]
+    assert seq.base.size <= _size_bound(X, couplings)
+    # the base is the glue of the members' own solves: X's weights on
+    # copies of its nodes, whose masses sum to the node's
+    pair = glue(X, S, couplings)[0]
+    assert np.array_equal(seq.base.omega, pair.omega_xhat)
+    src = np.array(pair.plan.source_index)
+    assert np.array_equal(seq.base.omega, X.omega[np.ix_(src, src)])
+    copies = np.bincount(src, minlength=X.size)
+    mass = np.bincount(src, weights=seq.base.mu, minlength=X.size)
+    assert np.all(np.abs(mass - X.mu)
+                  <= 2 * copies * np.finfo(float).eps * X.mu)
+    # and it does not depend on the members' order
+    again = sequential_log(X, [S[k] for k in order], params)
+    assert np.array_equal(again.base.omega, seq.base.omega)
+    assert np.array_equal(again.base.mu, seq.base.mu)
+    for T, k in zip(again.targets, order):
+        assert np.array_equal(T, seq.targets[k])
+
+
+def test_sequential_log_rejects_an_empty_collection(two_swap):
+    with pytest.raises(GwnetError):
+        sequential_log(two_swap, [], GwParams())
 
 
 # -------------------------------------------------------------------- mean
