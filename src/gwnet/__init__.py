@@ -25,7 +25,7 @@ from .tangent import (BaseMismatchError, GeodesicCertificate, TangentVector,
                       inner_product, log_map, norm)
 from .frechet import (FrechetGradient, FrechetParams, FrechetResult,
                       compress_log, compressed_average, frechet_gradient,
-                      frechet_mean, sequential_log)
+                      frechet_mean)
 from .analysis import (PcaResult, TangentDataset, featurize,
                        project_along_component, tangent_pca,
                        vectorize_at_base)
@@ -53,7 +53,7 @@ __all__ = [
     "log_map", "network_from_dict", "network_to_dict", "norm",
     "northwest_corner", "project_along_component", "random_vertex",
     "read_network", "sbm_compression_experiment",
-    "sequential_log", "solve_gw", "solve_linear_ot", "support_size",
+    "solve_gw", "solve_linear_ot", "support_size",
     "support_size_sweep", "tangent_pca", "uniform_network",
     "vectorize_at_base", "write_network",
 ]

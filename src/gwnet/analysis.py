@@ -1,13 +1,13 @@
 """Vectorization of network collections at a common base, and principal
 component analysis in the tangent space.
 
-Every network is log-mapped onto one common blow-up of the base (the
-same gluing of alignments the mean iteration uses); the flattened aligned
-differences form a data matrix whose natural inner product is weighted by
-the products mu_i mu_j of the base measure. PCA happens in that weighted
-geometry via the k x k Gram matrix of centered rows, which is cheap
-because collections are small while the flattened dimension is the
-squared base size.
+Every network is log-mapped onto one common blow-up of the base by
+frechet_gradient, the alignment step of the mean iteration; the flattened
+aligned differences form a data matrix whose natural inner product is
+weighted by the products mu_i mu_j of the base measure. PCA happens in
+that weighted geometry via the k x k Gram matrix of centered rows, which
+is cheap because collections are small while the flattened dimension is
+the squared base size.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams
-from .frechet import sequential_log
+from .frechet import FrechetParams, frechet_gradient
 from .tangent import exp_map, TangentVector
 
 
@@ -59,13 +59,12 @@ def vectorize_at_base(base: MeasureNetwork, nets: list[MeasureNetwork],
     flatten.
 
     Rows are omega_target_k - omega_base on that common base, in row-major
-    order.
+    order: the targets of frechet_gradient at the base, from cold solves.
     """
-    if not nets:
-        raise GwnetError("empty collection")
-    seq = sequential_log(base, nets, gw_params or GwParams())
-    final = seq.base
-    rows = np.stack([(T - final.omega).ravel() for T in seq.targets])
+    grad = frechet_gradient(nets, base,
+                            FrechetParams(gw=gw_params or GwParams()))
+    final = grad.base
+    rows = np.stack([(T - final.omega).ravel() for T in grad.targets])
     weights = np.outer(final.mu, final.mu).ravel()
     return TangentDataset(base=final, vectors=rows, weights=weights)
 

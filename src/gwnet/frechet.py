@@ -1,9 +1,10 @@
 """Averages of network collections by gradient flow in tangent space.
 
-One gradient evaluation aligns every member of the collection to the
-current base, then glues the alignments into one blow-up of that base on
-which each member's coupling is diagonal, so that all aligned members live
-on one common base. The gradient there is
+frechet_gradient is the one step that aligns a collection to a base: it
+solves every member against the base once, from its warm start, then glues
+the alignments into one blow-up of that base on which each member's
+coupling is diagonal, so that all aligned members live on one common base.
+The gradient there is
 
     g = 2 (omega_base - mean_k omega_target_k)
 
@@ -12,10 +13,12 @@ mean iteration steps the base weights by -TAU g, which lands exactly on
 that mean. It stops at the first iterate where that step would not move
 the base, the one stop it reports as converged, or at its cap. Every solve
 is warm-started from the member's coupling of the previous iteration.
+Tangent PCA (analysis.vectorize_at_base) takes its data from the same step.
 
-The compressed variants keep the base size fixed: the aligned difference
-is block-averaged over the copies of each base node before it is used,
-which also yields fixed-size compressed representatives of large networks.
+The compressed variants keep the base size fixed: each member's aligned
+difference is block-averaged over the copies of each base node before it
+is used, which also yields fixed-size compressed representatives of large
+networks.
 """
 from __future__ import annotations
 
@@ -26,7 +29,8 @@ import numpy as np
 from .networks import (Coupling, DimensionMismatchError, GwnetError,
                        MeasureNetwork, check_count)
 from .gw import GwParams, solve_gw
-from .alignment import _expansion_matrix, align, aligned_distance, glue
+from .alignment import (_expansion_matrix, align, aligned_distance, blow_up,
+                        glue)
 from .tangent import TangentVector
 
 
@@ -80,39 +84,6 @@ def _warm_params(gw_params: GwParams, start: np.ndarray | None) -> GwParams:
     return replace(gw_params, given=start, restarts=0)
 
 
-@dataclass
-class _SequentialLog:
-    base: MeasureNetwork          # common base: one blow-up of X for all
-    targets: list                 # aligned member weights on the base
-    distances: list               # per-member distance its alignment certifies
-    couplings: list               # per-member coupling from the base
-
-
-def sequential_log(X: MeasureNetwork, S: list[MeasureNetwork],
-                   gw_params: GwParams,
-                   warm: list | None = None) -> _SequentialLog:
-    """Log-map every member of S onto one common blow-up of X.
-
-    Each member is aligned to X itself, from its warm start if given (one
-    coupling from X to each member). The couplings are then glued into one
-    base on which each of them is diagonal, so the result is that base plus
-    one aligned weight matrix per member, and the distances are those of
-    the members' own solves. couplings are the members' diagonal couplings
-    from the base, the warm starts of a next call at it.
-    """
-    if not S:
-        raise GwnetError("empty collection")
-    couplings = [solve_gw(X, Y, _warm_params(gw_params, start))[0]
-                 for Y, start in zip(S, _check_warm(warm, X, S))]
-    pairs = glue(X, S, couplings)
-    return _SequentialLog(
-        base=pairs[0].base_network(),
-        targets=[pair.omega_yhat for pair in pairs],
-        distances=[aligned_distance(pair) for pair in pairs],
-        couplings=[_expansion_matrix(pair.plan.target_index, Y.size, pair).T
-                   for Y, pair in zip(S, pairs)])
-
-
 @dataclass(frozen=True)
 class FrechetGradient:
     gradient: TangentVector       # on the common base
@@ -125,36 +96,50 @@ class FrechetGradient:
 def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
                      params: FrechetParams | None = None,
                      warm: list | None = None) -> FrechetGradient:
-    """Gradient of the mean squared distance to S at X.
+    """Gradient of the mean squared distance to S at X, from one alignment
+    of every member to X.
 
-    Zero exactly when the base weights are the entrywise mean of the
-    aligned member weights.
+    Each member is solved against X once, from its warm start if given (one
+    coupling from X to each member). Uncompressed, the couplings are glued
+    into one blow-up of X, the returned base, on which each of them is
+    diagonal; targets are the members' aligned weights there, and couplings
+    their diagonal couplings from that base. Compressed, each member is
+    blown up on its own and its aligned difference block-averaged back to
+    X, which stays the base; couplings are the solved ones. Either way the
+    couplings are the warm starts of a next call at the base, and the loss
+    is the mean squared distance the aligned pairs certify. The gradient
+    is zero exactly when the base weights are the entrywise mean of the
+    targets.
     """
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
+    solved = [solve_gw(X, Y, _warm_params(params.gw, start))[0]
+              for Y, start in zip(S, _check_warm(warm, X, S))]
     if params.compress == "to_seed_size":
-        vs, distances, couplings = [], [], []
-        for Y, start in zip(S, _check_warm(warm, X, S)):
-            v, d, mat = _compress_log(X, Y, params.gw, warm=start)
-            vs.append(v)
-            distances.append(d)
-            couplings.append(mat)
+        pairs = [blow_up(X, Y, C) for Y, C in zip(S, solved)]
+        vs = [pair.plan.average(pair.omega_yhat - pair.omega_xhat)
+              for pair in pairs]
+        base, targets = X, [X.omega + v for v in vs]
         g = -2.0 * np.mean(vs, axis=0)
-        loss = float(np.mean([d ** 2 for d in distances]))
-        return FrechetGradient(gradient=TangentVector(X, g), base=X,
-                               targets=tuple(X.omega + v for v in vs),
-                               loss=loss, couplings=tuple(couplings))
-    seq = sequential_log(X, S, params.gw, warm=warm)
-    g = 2.0 * (seq.base.omega - np.mean(seq.targets, axis=0))
-    loss = float(np.mean([d ** 2 for d in seq.distances]))
-    return FrechetGradient(gradient=TangentVector(seq.base, g), base=seq.base,
-                           targets=tuple(seq.targets), loss=loss,
-                           couplings=tuple(seq.couplings))
+        couplings = [C.matrix for C in solved]
+    else:
+        pairs = glue(X, S, solved)
+        base, targets = pairs[0].base_network(), [p.omega_yhat for p in pairs]
+        g = 2.0 * (base.omega - np.mean(targets, axis=0))
+        couplings = [_expansion_matrix(p.plan.target_index, Y.size, p).T
+                     for Y, p in zip(S, pairs)]
+    loss = float(np.mean([aligned_distance(p) ** 2 for p in pairs]))
+    return FrechetGradient(gradient=TangentVector(base, g), base=base,
+                           targets=tuple(targets), loss=loss,
+                           couplings=tuple(couplings))
 
 
 @dataclass(frozen=True)
 class FrechetResult:
+    """The best iterate of a mean, with its loss. iterations counts the
+    steps taken, one less than the trace's rows, whatever the cap."""
+
     network: MeasureNetwork
     loss: float
     converged: bool
@@ -209,18 +194,8 @@ def frechet_mean(S: list[MeasureNetwork],
             break
         X = base.with_omega(base.omega - TAU * g)
     return FrechetResult(network=best[1], loss=best[0], converged=converged,
-                         iterations=min(it + 1, params.max_iters),
+                         iterations=len(trace) - 1,
                          trace=tuple(trace))
-
-
-def _compress_log(X: MeasureNetwork, Y: MeasureNetwork,
-                  gw_params: GwParams, coupling: Coupling | None = None,
-                  warm: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, float, np.ndarray]:
-    gwp = _warm_params(gw_params, warm)
-    pair, coupling = align(X, Y, gwp, coupling)
-    v = pair.plan.average(pair.omega_yhat - pair.omega_xhat)
-    return v, aligned_distance(pair), coupling.matrix
 
 
 def compress_log(X: MeasureNetwork, Y: MeasureNetwork,
@@ -233,8 +208,8 @@ def compress_log(X: MeasureNetwork, Y: MeasureNetwork,
     result to omega_X gives a |X|-node compressed representative of Y.
     """
     params = params or FrechetParams()
-    v, _, _ = _compress_log(X, Y, params.gw, coupling)
-    return v
+    pair, _ = align(X, Y, params.gw, coupling)
+    return pair.plan.average(pair.omega_yhat - pair.omega_xhat)
 
 
 def compressed_average(X: MeasureNetwork, Y: MeasureNetwork,
@@ -244,6 +219,4 @@ def compressed_average(X: MeasureNetwork, Y: MeasureNetwork,
     Returns (X, omega_X + v/2, mu_X) where v = compress_log(X, Y). No
     expansion takes place.
     """
-    params = params or FrechetParams()
-    v, _, _ = _compress_log(X, Y, params.gw)
-    return X.with_omega(X.omega + 0.5 * v)
+    return X.with_omega(X.omega + 0.5 * compress_log(X, Y, params))

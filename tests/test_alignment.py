@@ -168,6 +168,14 @@ def test_plan_average_is_the_block_mean(one_node, two_swap):
                           [[1.5]])
 
 
+def test_plan_average_rejects_a_matrix_on_other_nodes(one_node, two_swap):
+    C = Coupling(np.array([[0.5, 0.5]]), one_node.mu, two_swap.mu)
+    pair = blow_up(one_node, two_swap, C)
+    for mat in (np.ones((1, 1)), np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(GwnetError):
+            pair.plan.average(mat)
+
+
 def test_expansion_couplings_certify_zero_distance():
     rng = np.random.default_rng(6)
     X = random_network(rng, 3, uniform_mu=False)

@@ -67,6 +67,11 @@ def test_removed_names_stay_removed():
     # onto a grown base
     assert not hasattr(gwnet.BlowupPlan, "expand")
     assert not hasattr(gwnet.frechet, "_lift_coupling")
+    # frechet_gradient is the one step that aligns a collection to a base
+    assert not hasattr(gwnet, "sequential_log")
+    assert "sequential_log" not in gwnet.__all__
+    for name in ("sequential_log", "_SequentialLog", "_compress_log"):
+        assert not hasattr(gwnet.frechet, name), name
 
 
 def test_solver_and_mean_settings():

@@ -239,6 +239,21 @@ def test_sbm_experiment_reports_noiseless_recovery(tmp_path, capsys):
     assert len(payload["recovered"]) == 1
 
 
+def test_sbm_experiment_writes_csv_rows(tmp_path):
+    out = tmp_path / "r.csv"
+    rc = main(["sbm-experiment", "--block-sizes", "3,3",
+               "--means", "4,1;2,3", "--variance", "0",
+               "--runs", "2", "--out", str(out)])
+    assert rc == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert list(rows[0]) == ["seed", "maxDeviation", "passed",
+                             "singleShotMaxDeviation", "iterations",
+                             "converged"]
+    assert all(r["passed"] == "True" for r in rows)
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_support_sweep_writes_csv(tmp_path, capsys):
@@ -383,6 +398,16 @@ def test_mean_into_its_input_directory_runs_again(example_files, tmp_path,
     assert main(["mean", str(indir), str(out), "--out", str(out)]) == 0
     loss = frechet_mean([X, Y, M], FrechetParams()).loss
     assert capsys.readouterr().out.startswith(f"loss {loss:.9f} ")
+
+
+@pytest.mark.parametrize("command", ["mean", "pca"])
+def test_an_empty_input_directory_fails_cleanly(command, tmp_path, capsys):
+    indir = tmp_path / "in"
+    indir.mkdir()
+    out = tmp_path / "out.json"
+    assert main([command, str(indir), "--out", str(out)]) == 1
+    assert "no input networks found" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [b"not a network", b"\xff\xfe\x00"])

@@ -7,7 +7,7 @@ from gwnet import (Coupling, DimensionMismatchError, FrechetGradient,
                    FrechetParams, GwParams, GwnetError, MeasureNetwork,
                    TangentVector, compress_log, compressed_average,
                    frechet_gradient, frechet_mean, gw_distance,
-                   inner_product, read_network, sequential_log, solve_gw,
+                   inner_product, read_network, solve_gw,
                    support_size, uniform_network, vectorize_at_base,
                    write_network)
 from gwnet.alignment import glue
@@ -120,13 +120,11 @@ def test_warm_starts_must_match_the_members(compress):
     grad = frechet_gradient(S, X, params, warm=[product, product])
     assert len(grad.couplings) == 2
     # rows to fit the base once the first member has expanded it
-    grown = sequential_log(X, S[:1], params.gw, warm=[product]).base.size
+    grown = frechet_gradient(S[:1], X, warm=[product]).base.size
     for warm in ([product], [product] * 3, [product, product[:3]],
                  [product, np.full((grown, 3), 1 / (3 * grown))]):
         with pytest.raises(DimensionMismatchError):
             frechet_gradient(S, X, params, warm=warm)
-        with pytest.raises(DimensionMismatchError):
-            sequential_log(X, S, params.gw, warm=warm)
 
 
 @pytest.mark.parametrize("compress", ["none", "to_seed_size"])
@@ -141,11 +139,19 @@ def test_warm_starts_must_couple_the_measures(compress):
             frechet_gradient(S, X, params, warm=[product, bad])
 
 
-# --------------------------------------------------------- sequential log
+# ------------------------------------------------------------- glued base
 
 def _size_bound(X, couplings):
     """Nodes of the common refinement of the couplings' blow-ups, at most."""
     return X.size + sum(support_size(C) - X.size for C in couplings)
+
+
+def _distances(grad):
+    """Each member's distance its alignment certifies: half the distortion
+    of its diagonal coupling from the returned base."""
+    mu, omega = grad.base.mu, grad.base.omega
+    return [float(np.sqrt(mu @ ((T - omega) ** 2) @ mu)) / 2.0
+            for T in grad.targets]
 
 
 def test_a_constant_base_does_not_multiply():
@@ -155,11 +161,11 @@ def test_a_constant_base_does_not_multiply():
     X = MeasureNetwork([[0.7]], [1.0])
     S = [MeasureNetwork(rng.standard_normal((8, 8)), rng.dirichlet(np.ones(8)))
          for _ in range(3)]
-    seq = sequential_log(X, S, GwParams())
-    assert seq.base.size == 22
+    grad = frechet_gradient(S, X)
+    assert grad.base.size == 22
     assert vectorize_at_base(X, S).base.size == 22
     couplings = [solve_gw(X, Y, GwParams())[0] for Y in S]
-    assert seq.base.size <= _size_bound(X, couplings)
+    assert grad.base.size <= _size_bound(X, couplings)
 
 
 @st.composite
@@ -187,34 +193,31 @@ def test_property_glued_base_keeps_every_alignment(case):
     X, S, order = case
     params = GwParams(max_outer_iters=30)
     solved = [solve_gw(X, Y, params) for Y in S]
-    seq = sequential_log(X, S, params)
-    for (_, report), d in zip(solved, seq.distances):
+    grad = frechet_gradient(S, X, FrechetParams(gw=params))
+    for (_, report), d in zip(solved, _distances(grad)):
         assert d == pytest.approx(report.gw_distance, rel=1e-9, abs=0)
-    for Y, C in zip(S, seq.couplings):
-        Coupling(C, seq.base.mu, Y.mu)
+    assert grad.loss == np.mean(np.square(_distances(grad)))
+    for Y, C in zip(S, grad.couplings):
+        Coupling(C, grad.base.mu, Y.mu)
     couplings = [C for C, _ in solved]
-    assert seq.base.size <= _size_bound(X, couplings)
+    assert grad.base.size <= _size_bound(X, couplings)
     # the base is the glue of the members' own solves: X's weights on
     # copies of its nodes, whose masses sum to the node's
     pair = glue(X, S, couplings)[0]
-    assert np.array_equal(seq.base.omega, pair.omega_xhat)
+    assert np.array_equal(grad.base.omega, pair.omega_xhat)
     src = np.array(pair.plan.source_index)
-    assert np.array_equal(seq.base.omega, X.omega[np.ix_(src, src)])
+    assert np.array_equal(grad.base.omega, X.omega[np.ix_(src, src)])
     copies = np.bincount(src, minlength=X.size)
-    mass = np.bincount(src, weights=seq.base.mu, minlength=X.size)
+    mass = np.bincount(src, weights=grad.base.mu, minlength=X.size)
     assert np.all(np.abs(mass - X.mu)
                   <= 2 * copies * np.finfo(float).eps * X.mu)
     # and it does not depend on the members' order
-    again = sequential_log(X, [S[k] for k in order], params)
-    assert np.array_equal(again.base.omega, seq.base.omega)
-    assert np.array_equal(again.base.mu, seq.base.mu)
+    again = frechet_gradient([S[k] for k in order], X,
+                             FrechetParams(gw=params))
+    assert np.array_equal(again.base.omega, grad.base.omega)
+    assert np.array_equal(again.base.mu, grad.base.mu)
     for T, k in zip(again.targets, order):
-        assert np.array_equal(T, seq.targets[k])
-
-
-def test_sequential_log_rejects_an_empty_collection(two_swap):
-    with pytest.raises(GwnetError):
-        sequential_log(two_swap, [], GwParams())
+        assert np.array_equal(T, grad.targets[k])
 
 
 # -------------------------------------------------------------------- mean
@@ -239,7 +242,7 @@ def test_mean_of_a_singleton_is_the_member_itself():
     assert result.loss <= 1e-12
     assert result.converged
     # the seed is already stationary: one evaluation, no step
-    assert result.iterations == 1
+    assert result.iterations == 0
     assert len(result.trace) == 1
 
 
@@ -255,7 +258,7 @@ def test_mean_of_two_aligned_members_is_their_entrywise_mean():
     assert result.loss == pytest.approx(dis2 / 4, rel=1e-9)
     assert result.converged
     # one full step lands on the mean, where the second evaluation stops
-    assert result.iterations == 2
+    assert result.iterations == 1
 
 
 def test_mean_stationary_at_the_cap_is_converged():
@@ -268,6 +271,17 @@ def test_mean_stationary_at_the_cap_is_converged():
     assert result.converged
     assert result.iterations == 1
     assert len(result.trace) == 2
+
+
+def test_mean_counts_the_steps_taken_whatever_the_cap():
+    rng = np.random.default_rng(37)
+    A = random_network(rng, 3)
+    B = A.with_omega(A.omega + 0.05 * rng.standard_normal((3, 3)))
+    for cap in (1, 2, 100):
+        result = frechet_mean([A, B], FrechetParams(max_iters=cap,
+                                                    gw=diagonal_start(A)))
+        assert result.converged
+        assert result.iterations == len(result.trace) - 1 == 1, cap
 
 
 def test_mean_that_never_becomes_stationary_is_not_converged(monkeypatch):

@@ -205,6 +205,14 @@ def test_csv_non_numeric(tmp_path):
         read_network(path)
 
 
+def test_json_non_numeric(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"omega": [[0, "x"], [1, 0]],
+                                "mu": [0.5, 0.5]}))
+    with pytest.raises(ParseError, match="non-numeric network data"):
+        read_network(path)
+
+
 def test_json_rectangular_omega(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"omega": [[0, 1, 2], [3, 4, 5]],
