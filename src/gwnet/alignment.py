@@ -224,13 +224,12 @@ def aligned_distance(pair: AlignedPair) -> float:
 
 def align(X: MeasureNetwork, Y: MeasureNetwork,
           params: GwParams | None = None,
-          coupling: Coupling | None = None) -> tuple[AlignedPair, Coupling]:
-    """Solve for a coupling (unless given) and blow it up. Returns the
-    aligned pair and the coupling it expands; a given coupling is expanded
-    as passed."""
+          coupling: Coupling | None = None) -> AlignedPair:
+    """Blow up the given coupling, or else the one solve_gw(X, Y, params)
+    returns, into an aligned pair."""
     if coupling is None:
         coupling, _ = solve_gw(X, Y, params)
-    return blow_up(X, Y, coupling), coupling
+    return blow_up(X, Y, coupling)
 
 
 def _expansion_matrix(index, n: int, pair: AlignedPair) -> np.ndarray:

@@ -46,7 +46,6 @@ class PcaResult:
     mean: np.ndarray              # length N^2
     components: np.ndarray        # num_components x N^2
     explained_variance_ratios: np.ndarray
-    weights: np.ndarray
 
     @property
     def num_components(self) -> int:
@@ -96,8 +95,7 @@ def tangent_pca(ds: TangentDataset,
     if total <= (k * scale * 1e-14) ** 2:
         empty = np.zeros((0, ds.vectors.shape[1]))
         return PcaResult(mean=mean, components=empty,
-                         explained_variance_ratios=np.zeros(0),
-                         weights=ds.weights)
+                         explained_variance_ratios=np.zeros(0))
     rank = int(np.sum(evals > total * 1e-14))
     keep = rank if num_components is None else min(num_components, rank)
     comps = np.empty((keep, ds.vectors.shape[1]))
@@ -106,7 +104,7 @@ def tangent_pca(ds: TangentDataset,
         comps[i] = d / np.sqrt(evals[i])
     ratios = evals[:keep] / total
     return PcaResult(mean=mean, components=comps,
-                     explained_variance_ratios=ratios, weights=ds.weights)
+                     explained_variance_ratios=ratios)
 
 
 def project_along_component(result: PcaResult, base: MeasureNetwork,

@@ -17,7 +17,7 @@ import numpy as np
 from .networks import (GwnetError, MeasureNetwork, ParseError, _format_for,
                        read_network, write_network)
 from .gw import GwParams, solve_gw
-from .geodesics import evaluate, geodesic_aligned
+from .geodesics import OutOfRangeError, evaluate, geodesic_aligned
 from .frechet import FrechetParams, compressed_average, frechet_mean
 from .analysis import (featurize, project_along_component, tangent_pca,
                        vectorize_at_base)
@@ -114,12 +114,14 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    ts = _parse_numbers(args.ts)
+    if not all(0.0 <= t <= 1.0 for t in ts):
+        raise OutOfRangeError(f"--ts {args.ts}: every t must lie in [0, 1]")
     X = read_network(args.x)
     Y = read_network(args.y)
     rep = geodesic_aligned(X, Y, _gw_params(args))
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    ts = _parse_numbers(args.ts)
     files = []
     for t in ts:
         net = evaluate(rep, t)
@@ -138,21 +140,18 @@ def _cmd_geodesic(args) -> int:
     return 0
 
 
-def _frechet_params(args) -> FrechetParams:
-    return FrechetParams(max_iters=args.max_iters,
-                         compress=args.compress,
-                         gw=GwParams(restarts=args.restarts,
-                                     rng_seed=args.seed))
-
-
 def _cmd_mean(args) -> int:
     out = Path(args.out or "mean.json")
     trace_path = out.with_suffix(out.suffix + ".trace.csv")
+    if args.seed_net and args.seed_size is not None:
+        raise GwnetError("--seed-net and --seed-size exclude each other")
     # a directory that holds an earlier run's outputs still means its inputs
     nets = [net for _, net in _load_inputs(args.inputs, (out, trace_path))]
     seed = read_network(args.seed_net) if args.seed_net else args.seed_size
-    params = _frechet_params(args)
-    result = frechet_mean(nets, params, seed=seed, seed_rng=args.seed)
+    params = FrechetParams(max_iters=args.max_iters, compress=args.compress,
+                           gw=GwParams(restarts=args.restarts,
+                                       rng_seed=args.seed))
+    result = frechet_mean(nets, params, seed=seed)
     write_network(result.network, out)
     with open(trace_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -209,14 +208,16 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    labels = {}
+    if args.labels:
+        try:
+            with open(args.labels, "r", encoding="utf-8") as fh:
+                labels = dict(row[:2] for row in csv.reader(fh)
+                              if len(row) >= 2)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.labels}: not utf-8 text: {exc}") from exc
     named, ds = _tangent_dataset(args)
     feats = featurize(ds)
-    labels = {name: name for name, _ in named}
-    if args.labels:
-        with open(args.labels, "r", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if len(row) >= 2:
-                    labels[row[0]] = row[1]
     headers = ["label"] + [f"f{i}" for i in range(feats.shape[1])]
     rows = [dict(zip(headers, [labels.get(name, name)] + row))
             for (name, _), row in zip(named, feats.tolist())]
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="network files or directories of them")
     p.add_argument("--seed-net", default=None, help="seed network file")
     p.add_argument("--seed-size", type=int, default=None,
-                   help="random seed network of this size")
+                   help="random seed network of this size, drawn at --seed")
     p.add_argument("--compress", choices=("none", "to_seed_size"),
                    default="none")
     p.add_argument("--max-iters", type=int, default=100, help="mean iteration "
@@ -381,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--base", default=None)
     p.add_argument("--labels", default=None,
-                   help="csv file mapping input stems to labels")
+                   help="csv file mapping input stems to the labels of "
+                        "their feature rows (not node labels)")
     p.set_defaults(func=_cmd_featurize)
 
     sbm = argparse.ArgumentParser(add_help=False)

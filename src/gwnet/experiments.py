@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,7 +86,6 @@ def generate_sbm(spec: SbmSpec) -> MeasureNetwork:
 class SbmRun:
     seed: int
     recovered: np.ndarray         # B x B, block rows permuted to match
-    permutation: tuple[int, ...]
     max_deviation: float
     passed: bool
     single_shot_max_deviation: float
@@ -127,8 +126,8 @@ def sbm_compression_experiment(spec: SbmSpec, n_runs: int = 20,
     coupling to it equally good, so the iteration is started from a seeded
     random B-node network; once the couplings lock onto the blocks, one
     full step lands exactly on half the empirical block means. Run r draws
-    its network at seed spec.rng_seed + 1000 * r and starts the iteration
-    (seed network and solver restarts) at seed rng_seed + r.
+    its network at seed spec.rng_seed + 1000 * r and runs params with
+    gw.rng_seed set to rng_seed + r (seed network and solver restarts).
 
     Each run reports the deviation from the population target means/2
     after the best block relabeling, plus the deviation of the
@@ -151,16 +150,16 @@ def sbm_compression_experiment(spec: SbmSpec, n_runs: int = 20,
                        rng_seed=spec.rng_seed + 1000 * r)
         Y = generate_sbm(draw)
         p = params or FrechetParams(
-            max_iters=40, compress="to_seed_size",
-            gw=GwParams(restarts=2, rng_seed=run_seed))
-        result = frechet_mean([zeros, Y], p, seed=B, seed_rng=run_seed)
+            max_iters=40, compress="to_seed_size", gw=GwParams(restarts=2))
+        p = replace(p, gw=replace(p.gw, rng_seed=run_seed))
+        result = frechet_mean([zeros, Y], p, seed=B)
         perm, dev = _best_block_permutation(result.network.omega, target)
         single = compressed_average(zeros, Y, p)
         _, single_dev = _best_block_permutation(single.omega, target)
         idx = np.array(perm)
         runs.append(SbmRun(seed=run_seed,
                            recovered=result.network.omega[np.ix_(idx, idx)],
-                           permutation=perm, max_deviation=dev,
+                           max_deviation=dev,
                            passed=dev <= bound,
                            single_shot_max_deviation=single_dev,
                            iterations=result.iterations,
@@ -193,15 +192,16 @@ def support_size_sweep(sizes, trials: int, rng_seed: int = 0) -> list[dict]:
 
 
 def asymmetry_sweep(mode: str, alphas, n_seeds: int,
-                    sizes: tuple[int, int] = (10, 10), rng_seed: int = 0,
-                    params: FrechetParams | None = None) -> list[dict]:
+                    sizes: tuple[int, int] = (10, 10),
+                    rng_seed: int = 0) -> list[dict]:
     """Mean iteration under growing asymmetry.
 
     mode "diagonal": strip the diagonals of two random networks and add
     them back scaled by alpha. mode "antisymmetric": split each into
     symmetric and antisymmetric parts and scale the antisymmetric part by
-    alpha. For each alpha the mean of the pair is computed from n_seeds
-    random seed networks; rows record the final loss, final base size,
+    alpha. For each alpha the mean of the pair (at most 30 steps) is
+    computed from n_seeds random seed networks, the s-th drawn at seed
+    rng_seed + 7919 * s; rows record the final loss, final base size,
     iteration count and convergence flag.
     """
     if mode not in ("diagonal", "antisymmetric"):
@@ -226,9 +226,9 @@ def asymmetry_sweep(mode: str, alphas, n_seeds: int,
             n = X.shape[0]
             nets.append(MeasureNetwork(W, np.full(n, 1.0 / n)))
         for s in range(n_seeds):
-            p = params or FrechetParams(max_iters=30)
-            result = frechet_mean(nets, p, seed=min(n1, n2),
-                                  seed_rng=rng_seed + 7919 * s)
+            p = FrechetParams(max_iters=30,
+                              gw=GwParams(rng_seed=rng_seed + 7919 * s))
+            result = frechet_mean(nets, p, seed=min(n1, n2))
             rows.append({"mode": mode, "alpha": alpha, "seed": s,
                          "final_loss": result.loss,
                          "final_size": result.network.size,

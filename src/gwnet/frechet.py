@@ -159,24 +159,23 @@ def _resolve_seed(S, seed, rng_seed: int) -> MeasureNetwork:
 
 def frechet_mean(S: list[MeasureNetwork],
                  params: FrechetParams | None = None,
-                 seed: MeasureNetwork | int | None = None,
-                 seed_rng: int = 0) -> FrechetResult:
+                 seed: MeasureNetwork | int | None = None) -> FrechetResult:
     """Iterative mean of a collection by tangent-space gradient descent.
 
-    seed may be a network, an integer size (a seeded random network of that
-    size is used), or None for the first member. Every step of TAU lands
-    exactly on the entrywise mean of the currently aligned members. The
-    iteration stops at the first stationary iterate, with |g|^2_mu <=
-    STATIONARY_TOL * loss, where that step would not move the base (for an
-    uncompressed mean it would lower the loss by exactly |g|^2_mu / 16).
-    Iterates 0..max_iters are evaluated at most. Returns the best iterate
-    seen; converged is True exactly when the last evaluated iterate is
-    stationary.
+    seed is a network, an integer size (a random network of that size,
+    drawn at seed params.gw.rng_seed) or None for the first member. Every
+    step of TAU lands exactly on the entrywise mean of the currently
+    aligned members. The iteration stops at the first stationary iterate,
+    with |g|^2_mu <= STATIONARY_TOL * loss, where that step would not move
+    the base (for an uncompressed mean it would lower the loss by exactly
+    |g|^2_mu / 16). Iterates 0..max_iters are evaluated at most. Returns
+    the best iterate seen; converged is True exactly when the last
+    evaluated iterate is stationary.
     """
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
-    X = _resolve_seed(S, seed, seed_rng)
+    X = _resolve_seed(S, seed, params.gw.rng_seed)
     warm: tuple | None = None
     trace: list[tuple] = []
     best: tuple[float, MeasureNetwork] | None = None
@@ -208,7 +207,7 @@ def compress_log(X: MeasureNetwork, Y: MeasureNetwork,
     result to omega_X gives a |X|-node compressed representative of Y.
     """
     params = params or FrechetParams()
-    pair, _ = align(X, Y, params.gw, coupling)
+    pair = align(X, Y, params.gw, coupling)
     return pair.plan.average(pair.omega_yhat - pair.omega_xhat)
 
 

@@ -49,6 +49,6 @@ def geodesic_aligned(X: MeasureNetwork, Y: MeasureNetwork,
     alignment; the path is a true geodesic exactly when the coupling is
     globally optimal.
     """
-    pair, _ = align(X, Y, params, coupling)
+    pair = align(X, Y, params, coupling)
     return GeodesicRep(pair=pair, half_length=aligned_distance(pair))
 

@@ -209,8 +209,7 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
         converged = False
         basis = []      # each step starts from the previous step's tree
         for _ in range(params.max_outer_iters):
-            V, _ = solve_linear_ot(OtProblem._step(G, p, q, assignment),
-                                   basis)
+            V = solve_linear_ot(OtProblem._step(G, p, q, assignment), basis)
             D = V.matrix - C
             if not D.any():     # C is the vertex the LP returns
                 converged = True

@@ -290,11 +290,10 @@ def _network_simplex(cost: np.ndarray, p: np.ndarray, q: np.ndarray,
 
 
 def solve_linear_ot(prob: OtProblem,
-                    _basis: list | None = None) -> tuple[Coupling, float]:
+                    _basis: list | None = None) -> Coupling:
     """Minimize <cost, C> over the transportation polytope of (p, q).
 
-    Returns a vertex coupling (support at most n + m - 1 entries) and the
-    objective value at it, measured with the original cost matrix. Equal
+    Returns a vertex coupling (support at most n + m - 1 entries). Equal
     sizes with all masses equal are solved as an assignment problem (the
     vertices are scaled permutations, n entries of exactly p[0]); any other
     shape with more than one row and column goes through the transportation
@@ -317,4 +316,4 @@ def solve_linear_ot(prob: OtProblem,
     else:
         matrix, _ = _network_simplex(cost, p, q, _basis)
     # the vertex is fresh and p and q are the problem's read-only arrays
-    return Coupling._adopt(matrix, p, q), float((cost * matrix).sum())
+    return Coupling._adopt(matrix, p, q)

@@ -72,7 +72,6 @@ class MeasureNetwork:
 
     omega: np.ndarray
     mu: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
@@ -96,11 +95,6 @@ class MeasureNetwork:
         if abs(total - 1.0) > n * np.finfo(float).eps:
             mu = mu / total
         object.__setattr__(self, "mu", _freeze(mu))
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != n:
-                raise GwnetError(f"expected {n} labels, got {len(labels)}")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
@@ -108,16 +102,16 @@ class MeasureNetwork:
 
     def with_omega(self, omega: np.ndarray) -> "MeasureNetwork":
         """Same nodes and measure, new weights."""
-        return MeasureNetwork(omega, self.mu, self.labels)
+        return MeasureNetwork(omega, self.mu)
 
 
-def uniform_network(omega, labels=None) -> MeasureNetwork:
+def uniform_network(omega) -> MeasureNetwork:
     """Network with the uniform measure on its nodes."""
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise NonSquareError(f"omega must be square, got shape {omega.shape}")
     n = omega.shape[0]
-    return MeasureNetwork(omega, np.full(n, 1.0 / n), labels)
+    return MeasureNetwork(omega, np.full(n, 1.0 / n))
 
 
 def check_coupling(matrix: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
@@ -199,7 +193,7 @@ class SolveReport:
 # File formats. The file name alone decides: a name ending in ".csv" holds
 # csv, any other name json.
 #
-# json: {"omega": [[...]], "mu": [...], "labels": [...]?}
+# json: {"omega": [[...]], "mu": [...]}; other keys are ignored on read
 # csv:  first line "mu,v1,...,vn", then n comma-separated omega rows.
 # ---------------------------------------------------------------------------
 
@@ -208,10 +202,7 @@ def _format_for(path) -> str:
 
 
 def network_to_dict(net: MeasureNetwork) -> dict:
-    d = {"omega": net.omega.tolist(), "mu": net.mu.tolist()}
-    if net.labels is not None:
-        d["labels"] = list(net.labels)
-    return d
+    return {"omega": net.omega.tolist(), "mu": net.mu.tolist()}
 
 
 def network_from_dict(d: dict) -> MeasureNetwork:
@@ -222,15 +213,11 @@ def network_from_dict(d: dict) -> MeasureNetwork:
         mu = np.array(d["mu"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"non-numeric network data: {exc}") from exc
-    labels = d.get("labels")
-    if not isinstance(labels, (list, type(None))):
-        raise ParseError(f"'labels' must be a list, got {labels!r}")
-    return MeasureNetwork(omega, mu, labels)
+    return MeasureNetwork(omega, mu)
 
 
 def write_network(net: MeasureNetwork, path) -> None:
-    """Write a network to path: csv when the name ends in ".csv", else json
-    (labels are kept in json only)."""
+    """Write a network: csv when the path ends in ".csv", else json."""
     if _format_for(path) == "json":
         # json.dumps runs the C encoder; json.dump writes the same bytes
         # through the pure-Python one

@@ -80,7 +80,7 @@ def log_map(X: MeasureNetwork, Y: MeasureNetwork,
     The direction depends on which optimal coupling the solver lands on;
     the solver itself is deterministic for fixed parameters.
     """
-    pair, _ = align(X, Y, params, coupling)
+    pair = align(X, Y, params, coupling)
     base = pair.base_network()
     f = pair.omega_yhat - pair.omega_xhat
     return TangentVector(base=base, f=f), pair

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gwnet import GwParams, MeasureNetwork
 
@@ -53,3 +54,24 @@ def psd_network(rng, n, uniform_mu=True):
 def diagonal_start(net):
     """Solver settings that start from the identity coupling diag(mu)."""
     return GwParams(given=np.diag(net.mu))
+
+
+@st.composite
+def measure_networks(draw):
+    """Networks of 1-12 nodes with asymmetric weights of any sign, constant
+    weights or 1e8-scale weights, under the uniform measure or a Dirichlet
+    draw with entries down to 1e-12."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = draw(st.sampled_from(["normal", "constant", "1e8"]))
+    if weights == "constant":
+        omega = np.full((n, n), draw(st.floats(-1e3, 1e3)))
+    else:
+        omega = rng.standard_normal((n, n)) * (1e8 if weights == "1e8" else 1)
+    if draw(st.booleans()):
+        mu = np.full(n, 1.0 / n)
+    else:
+        alpha = draw(st.sampled_from([0.05, 1.0, 20.0]))
+        mu = np.maximum(rng.dirichlet(np.full(n, alpha)), 1e-12)
+        mu /= mu.sum()
+    return MeasureNetwork(omega, mu)

@@ -72,6 +72,18 @@ def test_removed_names_stay_removed():
     assert "sequential_log" not in gwnet.__all__
     for name in ("sequential_log", "_SequentialLog", "_compress_log"):
         assert not hasattr(gwnet.frechet, name), name
+    # settings and outputs that no program set or read
+    assert [f.name for f in fields(gwnet.MeasureNetwork)] == ["omega", "mu"]
+    for func, name in ((gwnet.uniform_network, "labels"),
+                       (gwnet.frechet_mean, "seed_rng"),
+                       (gwnet.asymmetry_sweep, "params")):
+        assert name not in inspect.signature(func).parameters, name
+    assert "permutation" not in [f.name for f in fields(gwnet.SbmRun)]
+    assert "weights" not in [f.name for f in fields(gwnet.PcaResult)]
+    two = gwnet.uniform_network([[0.0, 1.0], [1.0, 0.0]])
+    assert isinstance(gwnet.align(two, two), gwnet.AlignedPair)
+    prob = gwnet.OtProblem(two.omega, two.mu, two.mu)
+    assert isinstance(gwnet.solve_linear_ot(prob), gwnet.Coupling)
 
 
 def test_solver_and_mean_settings():

@@ -82,6 +82,17 @@ def test_geodesic_writes_interpolants_and_manifest(example_files, tmp_path,
     assert np.array_equal(mid.mu, [0.5, 0.5])
 
 
+def test_geodesic_checks_every_t_before_writing(example_files, tmp_path,
+                                                capsys):
+    x, y = example_files
+    outdir = tmp_path / "geo"
+    outdir.mkdir()
+    rc = main(["geodesic", x, y, "--ts", "0,0.5,2", "--out", str(outdir)])
+    assert rc == 1
+    assert "[0, 1]" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
 # -------------------------------------------------------------------- mean
 
 def test_mean_command_recovers_the_midpoint(tmp_path, two_swap, capsys):
@@ -101,6 +112,17 @@ def test_mean_command_recovers_the_midpoint(tmp_path, two_swap, capsys):
     trace = (tmp_path / "mean.json.trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,loss,baseSize"
     assert len(trace) >= 2
+
+
+def test_mean_takes_one_seed_flag_only(example_files, tmp_path, capsys):
+    x, y = example_files
+    out = tmp_path / "mean.json"
+    rc = main(["mean", x, y, "--seed-net", x, "--seed-size", "3",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--seed-net" in err and "--seed-size" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- compress
@@ -168,6 +190,19 @@ def test_featurize_command_round_trips_the_features(family_dir, tmp_path):
     assert [r[0] for r in rows[1:]] == ["groupA", "groupB", "net2", "net3"]
     got = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
     assert np.array_equal(got, feats)
+
+
+def test_featurize_labels_that_are_not_utf8_fail_cleanly(family_dir,
+                                                         tmp_path, capsys):
+    indir, _ = family_dir
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"n0,\xff\xfe\n")
+    out = tmp_path / "features.csv"
+    rc = main(["featurize", str(indir), "--labels", str(labels),
+               "--out", str(out)])
+    assert rc == 1
+    assert f"error: {labels}: not utf-8 text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------- solver flags
@@ -449,18 +484,6 @@ def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
     argv = [a.format(x=x, y=y, bad=bad) for a in argv]
     argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
-    assert "error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("labels", [5, "ab"])
-def test_non_list_labels_fail_cleanly(labels, example_files, tmp_path,
-                                      capsys):
-    x, _ = example_files
-    bad = tmp_path / "labels.json"
-    bad.write_text(json.dumps({"omega": [[0.0, 1.0], [1.0, 0.0]],
-                               "mu": [0.5, 0.5], "labels": labels}))
-    assert main(["distance", str(x), str(bad),
-                 "--out", str(tmp_path / "out")]) == 1
     assert "error" in capsys.readouterr().err
 
 

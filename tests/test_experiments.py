@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gwnet import (FrechetParams, GwParams, GwnetError, SbmSpec,
-                   asymmetry_sweep, default_sbm_spec, generate_sbm,
-                   sbm_compression_experiment, support_size_sweep)
+from gwnet import (GwnetError, SbmSpec, asymmetry_sweep, default_sbm_spec,
+                   generate_sbm, sbm_compression_experiment,
+                   support_size_sweep)
 
 from oracles import half_sample_block_means, relabeled_gap
 
@@ -136,8 +136,7 @@ def test_support_sweep_rows_and_bound():
 @pytest.mark.parametrize("mode", ["diagonal", "antisymmetric"])
 def test_asymmetry_sweep_schema_and_determinism(mode):
     rows = asymmetry_sweep(mode, alphas=(0.0, 1.0), n_seeds=1,
-                           sizes=(4, 4), rng_seed=0,
-                           params=FrechetParams(max_iters=10))
+                           sizes=(4, 4), rng_seed=0)
     assert len(rows) == 2
     for row in rows:
         assert set(row) == {"mode", "alpha", "seed", "final_loss",
@@ -145,8 +144,7 @@ def test_asymmetry_sweep_schema_and_determinism(mode):
         assert row["mode"] == mode
         assert np.isfinite(row["final_loss"])
     again = asymmetry_sweep(mode, alphas=(0.0, 1.0), n_seeds=1,
-                            sizes=(4, 4), rng_seed=0,
-                            params=FrechetParams(max_iters=10))
+                            sizes=(4, 4), rng_seed=0)
     assert [r["final_loss"] for r in rows] == [r["final_loss"] for r in again]
 
 

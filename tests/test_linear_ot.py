@@ -15,10 +15,16 @@ from gwnet.linear_ot import _network_simplex
 from oracles import brute_min_ot, highs_min_ot
 
 
+def _solve(prob, basis=None):
+    """The vertex solve_linear_ot returns, and its objective value."""
+    C = solve_linear_ot(prob, basis)
+    return C, float((prob.cost * C.matrix).sum())
+
+
 def test_one_row_polytope_is_a_point():
     prob = OtProblem(np.array([[3.0, -1.0]]), np.array([1.0]),
                      np.array([0.5, 0.5]))
-    C, val = solve_linear_ot(prob)
+    C, val = _solve(prob)
     assert np.array_equal(C.matrix, np.array([[0.5, 0.5]]))
     assert val == pytest.approx(0.5 * 3.0 - 0.5)
 
@@ -26,14 +32,14 @@ def test_one_row_polytope_is_a_point():
 def test_one_column_polytope_is_a_point():
     prob = OtProblem(np.array([[2.0], [4.0]]), np.array([0.25, 0.75]),
                      np.array([1.0]))
-    C, _ = solve_linear_ot(prob)
+    C = solve_linear_ot(prob)
     assert np.array_equal(C.matrix, np.array([[0.25], [0.75]]))
 
 
 def test_identity_favoring_cost_gives_diagonal():
     prob = OtProblem(np.array([[0.0, 1.0], [1.0, 0.0]]),
                      np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    C, val = solve_linear_ot(prob)
+    C, val = _solve(prob)
     assert np.allclose(C.matrix, np.diag([0.5, 0.5]))
     assert val == pytest.approx(0.0, abs=1e-15)
 
@@ -47,7 +53,7 @@ def test_matches_vertex_sweep_on_random_problems():
         p /= p.sum()
         q = rng.random(m) + 0.2
         q /= q.sum()
-        C, val = solve_linear_ot(OtProblem(cost, p, q))
+        C, val = _solve(OtProblem(cost, p, q))
         best, _ = brute_min_ot(cost, p, q)
         assert val == pytest.approx(best, abs=1e-10)
         assert (C.matrix > 1e-12).sum() <= n + m - 1
@@ -71,7 +77,7 @@ def test_uniform_square_matches_vertex_sweep(n):
     costs = [rng.standard_normal((n, n)) for _ in range(4)] + \
         [rng.integers(0, 3, (n, n)).astype(float) for _ in range(4)]
     for cost in costs:
-        C, val = solve_linear_ot(OtProblem(cost, p, p))
+        C, val = _solve(OtProblem(cost, p, p))
         best, _ = brute_min_ot(cost, p, p)
         assert val == pytest.approx(best, abs=1e-12)
         assert val == np.sum(cost * C.matrix)
@@ -86,7 +92,7 @@ def test_uniform_square_matches_permutation_sweep_at_five():
     p = np.full(n, 1.0 / n)
     for cost in (rng.standard_normal((n, n)),
                  rng.integers(0, 3, (n, n)).astype(float)):
-        C, val = solve_linear_ot(OtProblem(cost, p, p))
+        C, val = _solve(OtProblem(cost, p, p))
         best = min(sum(cost[i, s[i]] for i in range(n)) / n
                    for s in itertools.permutations(range(n)))
         assert val == pytest.approx(best, abs=1e-12)
@@ -99,7 +105,7 @@ def test_uniform_square_matches_highs(n):
     p = np.full(n, 1.0 / n)
     for _ in range(3):
         cost = rng.standard_normal((n, n))
-        C, val = solve_linear_ot(OtProblem(cost, p, p))
+        C, val = _solve(OtProblem(cost, p, p))
         assert val == pytest.approx(highs_min_ot(cost, p, p), rel=1e-9)
         _check_assignment_vertex(C, p)
 
@@ -116,7 +122,7 @@ def test_nearly_uniform_square_takes_the_lp_path(monkeypatch):
     q[0] = np.nextafter(np.nextafter(q[0], 1.0), 1.0)
     q[1] = np.nextafter(np.nextafter(q[1], 0.0), 0.0)
     cost = rng.standard_normal((n, n))
-    C, val = solve_linear_ot(OtProblem(cost, p, q))
+    C, val = _solve(OtProblem(cost, p, q))
     assert (C.matrix > 1e-12).sum() <= 2 * n - 1
     assert (C.matrix >= 0).all()
     assert np.abs(C.matrix.sum(axis=1) - p).max() < 1e-15
@@ -135,7 +141,8 @@ def test_scipy_optimize_loads_on_the_first_assignment_solve():
         assert "scipy.optimize" not in sys.modules, "loaded on import"
         p = np.full(5, 0.2)
         cost = np.random.default_rng(3).standard_normal((5, 5))
-        _, val = solve_linear_ot(OtProblem(cost, p, p))
+        C = solve_linear_ot(OtProblem(cost, p, p))
+        val = float((cost * C.matrix).sum())
         assert "scipy.optimize" in sys.modules, "not loaded by the solve"
         # the oracle imports scipy.optimize itself, so it comes last
         from oracles import highs_min_ot
@@ -154,7 +161,7 @@ def test_marginals_exact_to_machine_precision():
         p /= p.sum()
         q = rng.random(m) + 0.05
         q /= q.sum()
-        C, _ = solve_linear_ot(OtProblem(rng.standard_normal((n, m)), p, q))
+        C = solve_linear_ot(OtProblem(rng.standard_normal((n, m)), p, q))
         assert np.abs(C.matrix.sum(axis=1) - p).max() < 1e-15
         assert np.abs(C.matrix.sum(axis=0) - q).max() < 1e-15
 
@@ -164,8 +171,8 @@ def test_cost_scaling_keeps_the_same_vertex():
     cost = rng.standard_normal((4, 3))
     p = np.full(4, 0.25)
     q = np.full(3, 1 / 3)
-    C1, _ = solve_linear_ot(OtProblem(cost, p, q))
-    C2, _ = solve_linear_ot(OtProblem(cost * 1e9, p, q))
+    C1 = solve_linear_ot(OtProblem(cost, p, q))
+    C2 = solve_linear_ot(OtProblem(cost * 1e9, p, q))
     assert np.allclose(C1.matrix, C2.matrix, atol=1e-12)
 
 
@@ -196,7 +203,7 @@ def test_coupling_is_read_only_and_owns_its_marginals(n, m, uniform):
     cost = rng.standard_normal((n, m))
     p = np.full(n, 1 / n) if uniform else rng.dirichlet(np.ones(n))
     q = np.full(m, 1 / m) if uniform else rng.dirichlet(np.ones(m))
-    C, _ = solve_linear_ot(OtProblem(cost, p, q))
+    C = solve_linear_ot(OtProblem(cost, p, q))
     for a in (C.matrix, C.row_marginal, C.col_marginal):
         assert not a.flags.writeable
     before = (C.matrix.copy(), C.row_marginal.copy(), C.col_marginal.copy())
@@ -211,7 +218,7 @@ def test_repair_handles_tiny_masses():
     p = np.array([1e-9, 1.0 - 1e-9])
     q = np.array([0.5, 0.5])
     cost = np.array([[1.0, 0.0], [0.0, 1.0]])
-    C, _ = solve_linear_ot(OtProblem(cost, p, q))
+    C = solve_linear_ot(OtProblem(cost, p, q))
     assert np.abs(C.matrix.sum(axis=1) - p).max() < 1e-15
     assert (C.matrix >= 0).all()
 
@@ -242,7 +249,7 @@ def test_tall_problems_with_tiny_row_masses():
         cost = rng.standard_normal((n, m))
         p = _masses(rng, n, -10.0)
         q = rng.dirichlet(np.ones(m))
-        _check_vertex(*solve_linear_ot(OtProblem(cost, p, q)), cost, p, q)
+        _check_vertex(*_solve(OtProblem(cost, p, q)), cost, p, q)
 
 
 def test_wide_uniform_unequal_marginals():
@@ -251,7 +258,7 @@ def test_wide_uniform_unequal_marginals():
     p, q = np.full(5, 1 / 5), np.full(100, 1 / 100)
     for _ in range(5):
         cost = rng.standard_normal((5, 100))
-        _check_vertex(*solve_linear_ot(OtProblem(cost, p, q)), cost, p, q)
+        _check_vertex(*_solve(OtProblem(cost, p, q)), cost, p, q)
 
 
 def test_dirichlet_masses_off_square():
@@ -259,7 +266,7 @@ def test_dirichlet_masses_off_square():
     for _ in range(10):
         cost = rng.standard_normal((12, 18))
         p, q = rng.dirichlet(np.ones(12)), rng.dirichlet(np.ones(18))
-        _check_vertex(*solve_linear_ot(OtProblem(cost, p, q)), cost, p, q)
+        _check_vertex(*_solve(OtProblem(cost, p, q)), cost, p, q)
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (2, 4), (4, 3), (3, 4)])
@@ -271,7 +278,7 @@ def test_degenerate_costs_match_vertex_sweep(n, m):
     for _ in range(40):
         cost = rng.integers(0, 3, (n, m)).astype(float)
         basis = []
-        C, val = solve_linear_ot(OtProblem(cost, p, q), basis)
+        C, val = _solve(OtProblem(cost, p, q), basis)
         best, _ = brute_min_ot(cost, p, q)
         assert val == pytest.approx(best, abs=1e-12)
         assert (C.matrix > 0).sum() <= n + m - 1
@@ -302,7 +309,7 @@ def test_shared_basis_solves_each_problem_exactly():
     basis = []
     for _ in range(8):
         cost = cost + 0.3 * rng.standard_normal((9, 14))
-        C, val = solve_linear_ot(OtProblem(cost, p, q), basis)
+        C, val = _solve(OtProblem(cost, p, q), basis)
         _check_vertex(C, val, cost, p, q)
     # the shared tree is the optimal one: solving again needs no pivot
     again, pivots = _network_simplex(cost, p, q, basis)
@@ -330,7 +337,7 @@ def test_property_matches_highs_on_a_forest(problem):
     cost, p, q = problem
     n, m = cost.shape
     basis = []
-    C, val = solve_linear_ot(OtProblem(cost, p, q), basis)
+    C, val = _solve(OtProblem(cost, p, q), basis)
     # HiGHS stops once no reduced cost is below its 1e-10 tolerance times
     # the largest cost, so its objective is good to about that much (a
     # drawn case: costs 0 and -1e-12 on a uniform 2 x 2, optimum -5e-13,
