@@ -16,16 +16,15 @@ from .linear_ot import InfeasibleMarginalsError, OtProblem, solve_linear_ot
 from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
                  gw_distance, gw_gradient, northwest_corner, random_vertex,
                  solve_gw)
-from .alignment import (AlignedPair, BlowupPlan, aligned_distance, align,
-                        binarize, blow_up, support_size)
+from .alignment import (AlignedPair, aligned_distance, align, binarize,
+                        blow_up, support_size)
 from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
                         geodesic_aligned)
 from .tangent import (BaseMismatchError, GeodesicCertificate, TangentVector,
                       exp_map, geodesic_certificate, injectivity_radius,
                       inner_product, log_map, norm)
 from .frechet import (FrechetGradient, FrechetParams, FrechetResult,
-                      compress_log, compressed_average, frechet_gradient,
-                      frechet_mean)
+                      compressed_average, frechet_gradient, frechet_mean)
 from .analysis import (PcaResult, TangentDataset, featurize,
                        project_along_component, tangent_pca,
                        vectorize_at_base)
@@ -36,7 +35,7 @@ from .experiments import (SbmReport, SbmRun, SbmSpec, asymmetry_sweep,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedPair", "BaseMismatchError", "BlowupPlan", "Coupling",
+    "AlignedPair", "BaseMismatchError", "Coupling",
     "DimensionMismatchError", "FrechetGradient", "FrechetParams",
     "FrechetResult", "GeodesicCertificate", "GeodesicRep", "GwParams",
     "GwnetError", "InfeasibleMarginalsError", "MeasureNetwork",
@@ -45,7 +44,7 @@ __all__ = [
     "PcaResult", "SbmReport", "SbmRun", "SbmSpec", "SolveReport",
     "TangentDataset", "TangentVector",
     "aligned_distance", "align", "asymmetry_sweep", "binarize", "blow_up",
-    "compress_log", "compressed_average", "default_sbm_spec",
+    "compressed_average", "default_sbm_spec",
     "distortion_matrix", "evaluate", "exp_map", "featurize",
     "frechet_gradient", "frechet_mean", "generate_sbm",
     "geodesic_aligned", "geodesic_certificate",

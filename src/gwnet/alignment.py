@@ -9,10 +9,11 @@ the weight matrices can be compared entrywise, which is what geodesics,
 tangent vectors and means are built on.
 
 This module alone decides which entries form the support (_support_mask)
-and how matrices move between a network and its expansion (BlowupPlan):
-support_size(C) is always the node count blow_up makes from C. glue blows
-X up once for several couplings, into the common refinement of their
-blow-ups, on which every member's coupling is diagonal.
+and how matrices move between a network and its expansion (the node maps
+of AlignedPair): support_size(C) is always the node count blow_up makes
+from C. glue blows X up once for several couplings, into the common
+refinement of their blow-ups, on which every member's coupling is
+diagonal.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import Coupling, GwnetError, MeasureNetwork, check_coupling
+from .networks import Coupling, MeasureNetwork, check_coupling
 from .gw import GwParams, _as_matrix, solve_gw
 
 # entries below this fraction of the largest one are treated as zeros;
@@ -51,57 +52,24 @@ def support_size(C) -> int:
 
 
 @dataclass(frozen=True)
-class BlowupPlan:
-    """Bookkeeping of one expansion.
-
-    source_index[k] and target_index[k] give the X node and Y node behind
-    expanded node k; u counts the copies made of each X node (every node
-    has at least one). average() takes a matrix on the expanded nodes back
-    to the X nodes by averaging over the copies.
-    """
-
-    source_index: tuple[int, ...]
-    target_index: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.source_index)
-
-    @property
-    def u(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.source_index).tolist())
-
-    def average(self, mat: np.ndarray) -> np.ndarray:
-        """Block average of a matrix on the expanded nodes: entry (i, i') is
-        the plain mean over the u_i * u_i' copy pairs of X nodes i and i'."""
-        mat = _square(mat, self.size, "expanded")
-        u = np.array(self.u)
-        P = (np.arange(len(u))[:, None] == np.array(self.source_index)) \
-            / u[:, None]
-        return P @ mat @ P.T
-
-
-def _square(mat, n: int, nodes: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (n, n):
-        raise GwnetError(
-            f"matrix shape {mat.shape} does not live on the {n} {nodes} "
-            "nodes")
-    return mat
-
-
-@dataclass(frozen=True)
 class AlignedPair:
     """A pair of same-size weight matrices sharing one node measure.
 
     The diagonal coupling diag(mu_hat) is the transport map the source
     coupling expanded to; its distortion equals the source coupling's.
+    source_index[k] and target_index[k] are the X node and the Y node
+    behind expanded node k; both are stored read-only.
     """
 
     omega_xhat: np.ndarray
     omega_yhat: np.ndarray
     mu_hat: np.ndarray
-    plan: BlowupPlan
+    source_index: np.ndarray
+    target_index: np.ndarray
+
+    def __post_init__(self):
+        self.source_index.flags.writeable = False
+        self.target_index.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -146,9 +114,7 @@ def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
     src, tgt, masses = _pieces(X, Y, C)
     return AlignedPair(omega_xhat=X.omega[np.ix_(src, src)],
                        omega_yhat=Y.omega[np.ix_(tgt, tgt)],
-                       mu_hat=masses,
-                       plan=BlowupPlan(tuple(src.tolist()),
-                                       tuple(tgt.tolist())))
+                       mu_hat=masses, source_index=src, target_index=tgt)
 
 
 def _key(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -196,7 +162,6 @@ def glue(X: MeasureNetwork, members: list[MeasureNetwork],
     mu_hat = end - start
     mids = _key(row, start + mu_hat / 2)
     omega_xhat = X.omega[np.ix_(row, row)]
-    src = tuple(row.tolist())
     pairs = []
     for Y, cut, tgt in zip(members, cuts, targets):
         # member entries before a piece: those of earlier rows, one more
@@ -204,8 +169,8 @@ def glue(X: MeasureNetwork, members: list[MeasureNetwork],
         y = tgt[row + np.searchsorted(cut, mids)]
         pairs.append(AlignedPair(omega_xhat=omega_xhat,
                                  omega_yhat=Y.omega[np.ix_(y, y)],
-                                 mu_hat=mu_hat,
-                                 plan=BlowupPlan(src, tuple(y.tolist()))))
+                                 mu_hat=mu_hat, source_index=row,
+                                 target_index=y))
     return pairs
 
 
@@ -236,6 +201,14 @@ def _expansion_matrix(index, n: int, pair: AlignedPair) -> np.ndarray:
     """n x |pair| matrix giving each expanded node k its own mass at the
     node index[k] of the unexpanded network."""
     mat = np.zeros((n, pair.size))
-    mat[np.array(index), np.arange(pair.size)] = pair.mu_hat
+    mat[index, np.arange(pair.size)] = pair.mu_hat
     return mat
 
+
+def _block_average(pair: AlignedPair) -> np.ndarray:
+    """omega_yhat - omega_xhat taken back to the X nodes: entry (i, i') is
+    the plain mean over the u_i * u_i' copy pairs of X nodes i and i',
+    where u counts the copies of each X node."""
+    u = np.bincount(pair.source_index)
+    P = (np.arange(len(u))[:, None] == pair.source_index) / u[:, None]
+    return P @ (pair.omega_yhat - pair.omega_xhat) @ P.T

@@ -78,13 +78,15 @@ def _load_inputs(paths: list[str], outputs: tuple[Path, ...] = ()
             files.append(p)
     if not files:
         raise GwnetError("no input networks found")
-    named = []
-    for f in files:
-        try:
-            named.append((f.stem, read_network(f)))
-        except ParseError as exc:
-            raise ParseError(f"{f}: {exc}") from exc
-    return named
+    return [(f.stem, _read(f)) for f in files]
+
+
+def _read(path) -> MeasureNetwork:
+    """read_network, naming the file when it does not parse."""
+    try:
+        return read_network(path)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _gw_params(args) -> GwParams:
@@ -103,8 +105,8 @@ def _coupling_payload(coupling, report) -> dict:
 def _cmd_distance(args) -> int:
     if args.out:
         _json_out(args.out)
-    X = read_network(args.x)
-    Y = read_network(args.y)
+    X = _read(args.x)
+    Y = _read(args.y)
     coupling, report = solve_gw(X, Y, _gw_params(args))
     print(f"gwDistance {report.gw_distance:.9f}")
     if args.out:
@@ -117,8 +119,8 @@ def _cmd_geodesic(args) -> int:
     ts = _parse_numbers(args.ts)
     if not all(0.0 <= t <= 1.0 for t in ts):
         raise OutOfRangeError(f"--ts {args.ts}: every t must lie in [0, 1]")
-    X = read_network(args.x)
-    Y = read_network(args.y)
+    X = _read(args.x)
+    Y = _read(args.y)
     rep = geodesic_aligned(X, Y, _gw_params(args))
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -147,7 +149,7 @@ def _cmd_mean(args) -> int:
         raise GwnetError("--seed-net and --seed-size exclude each other")
     # a directory that holds an earlier run's outputs still means its inputs
     nets = [net for _, net in _load_inputs(args.inputs, (out, trace_path))]
-    seed = read_network(args.seed_net) if args.seed_net else args.seed_size
+    seed = _read(args.seed_net) if args.seed_net else args.seed_size
     params = FrechetParams(max_iters=args.max_iters, compress=args.compress,
                            gw=GwParams(restarts=args.restarts,
                                        rng_seed=args.seed))
@@ -163,8 +165,8 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    X = read_network(args.x)
-    Y = read_network(args.y)
+    X = _read(args.x)
+    Y = _read(args.y)
     net = compressed_average(X, Y, FrechetParams(gw=_gw_params(args)))
     out = args.out or "compressed.json"
     write_network(net, out)
@@ -177,13 +179,14 @@ def _tangent_dataset(args):
     first input)."""
     named = _load_inputs(args.inputs)
     nets = [net for _, net in named]
-    base = read_network(args.base) if args.base else nets[0]
+    base = _read(args.base) if args.base else nets[0]
     return named, vectorize_at_base(base, nets, _gw_params(args))
 
 
 def _cmd_pca(args) -> int:
     out = Path(args.out or "pca.json")
     _json_out(out)
+    grid = _parse_numbers(args.grid or "")
     _, ds = _tangent_dataset(args)
     result = tangent_pca(ds, args.components)
     payload = {
@@ -194,13 +197,11 @@ def _cmd_pca(args) -> int:
     }
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload) + "\n")
-    if args.grid:
-        for ci in range(result.num_components):
-            for s in _parse_numbers(args.grid):
-                net = project_along_component(result, ds.base, ci, s)
-                name = out.with_name(f"{out.stem}_c{ci}_s{s:+.3f}."
-                                     f"{args.format}")
-                write_network(net, name)
+    for ci in range(result.num_components):
+        for s in grid:
+            net = project_along_component(result, ds.base, ci, s)
+            name = out.with_name(f"{out.stem}_c{ci}_s{s:+.3f}.{args.format}")
+            write_network(net, name)
     ratios = ", ".join(f"{r:.4f}"
                        for r in result.explained_variance_ratios[:5])
     print(f"ratios [{ratios}]")

@@ -15,10 +15,10 @@ the base, the one stop it reports as converged, or at its cap. Every solve
 is warm-started from the member's coupling of the previous iteration.
 Tangent PCA (analysis.vectorize_at_base) takes its data from the same step.
 
-The compressed variants keep the base size fixed: each member's aligned
+The compressed variant keeps the base size fixed: each member's aligned
 difference is block-averaged over the copies of each base node before it
-is used, which also yields fixed-size compressed representatives of large
-networks.
+is used. One compressed step toward a single network is its fixed-size
+compressed representative (compressed_average).
 """
 from __future__ import annotations
 
@@ -26,11 +26,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .networks import (Coupling, DimensionMismatchError, GwnetError,
-                       MeasureNetwork, check_count)
+from .networks import (DimensionMismatchError, GwnetError, MeasureNetwork,
+                       check_count)
 from .gw import GwParams, solve_gw
-from .alignment import (_expansion_matrix, align, aligned_distance, blow_up,
-                        glue)
+from .alignment import (_block_average, _expansion_matrix, aligned_distance,
+                        blow_up, glue)
 from .tangent import TangentVector
 
 
@@ -105,7 +105,8 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
     diagonal; targets are the members' aligned weights there, and couplings
     their diagonal couplings from that base. Compressed, each member is
     blown up on its own and its aligned difference block-averaged back to
-    X, which stays the base; couplings are the solved ones. Either way the
+    X, which stays the base (with S = [Y] this is the step that
+    compressed_average takes); couplings are the solved ones. Either way the
     couplings are the warm starts of a next call at the base, and the loss
     is the mean squared distance the aligned pairs certify. The gradient
     is zero exactly when the base weights are the entrywise mean of the
@@ -118,8 +119,7 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
               for Y, start in zip(S, _check_warm(warm, X, S))]
     if params.compress == "to_seed_size":
         pairs = [blow_up(X, Y, C) for Y, C in zip(S, solved)]
-        vs = [pair.plan.average(pair.omega_yhat - pair.omega_xhat)
-              for pair in pairs]
+        vs = [_block_average(pair) for pair in pairs]
         base, targets = X, [X.omega + v for v in vs]
         g = -2.0 * np.mean(vs, axis=0)
         couplings = [C.matrix for C in solved]
@@ -127,7 +127,7 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
         pairs = glue(X, S, solved)
         base, targets = pairs[0].base_network(), [p.omega_yhat for p in pairs]
         g = 2.0 * (base.omega - np.mean(targets, axis=0))
-        couplings = [_expansion_matrix(p.plan.target_index, Y.size, p).T
+        couplings = [_expansion_matrix(p.target_index, Y.size, p).T
                      for Y, p in zip(S, pairs)]
     loss = float(np.mean([aligned_distance(p) ** 2 for p in pairs]))
     return FrechetGradient(gradient=TangentVector(base, g), base=base,
@@ -197,25 +197,16 @@ def frechet_mean(S: list[MeasureNetwork],
                          trace=tuple(trace))
 
 
-def compress_log(X: MeasureNetwork, Y: MeasureNetwork,
-                 params: FrechetParams | None = None,
-                 coupling: Coupling | None = None) -> np.ndarray:
-    """Size-|X| compression of the aligned difference between Y and X.
-
-    Aligns Y to X, then averages the difference matrix over the copies of
-    each X node (plain average over the u_x * u_x' copy pairs). Adding the
-    result to omega_X gives a |X|-node compressed representative of Y.
-    """
-    params = params or FrechetParams()
-    pair = align(X, Y, params.gw, coupling)
-    return pair.plan.average(pair.omega_yhat - pair.omega_xhat)
-
-
 def compressed_average(X: MeasureNetwork, Y: MeasureNetwork,
                        params: FrechetParams | None = None) -> MeasureNetwork:
     """Average of X and the compressed representative of Y, at X's size.
 
-    Returns (X, omega_X + v/2, mu_X) where v = compress_log(X, Y). No
-    expansion takes place.
+    The compressed representative is omega_X + v, where v is the aligned
+    difference of Y and X block-averaged over the copies of each X node.
+    The average has weights omega_X + v/2 and measure mu_X. The compressed
+    frechet_gradient at X with S = [Y] is g = -2 v, so those weights are
+    omega_X - (TAU/2) g. Y is solved against X once, with params.gw.
     """
-    return X.with_omega(X.omega + 0.5 * compress_log(X, Y, params))
+    params = replace(params or FrechetParams(), compress="to_seed_size")
+    g = frechet_gradient([Y], X, params).gradient.f
+    return X.with_omega(X.omega - TAU / 2 * g)

@@ -108,10 +108,9 @@ class MeasureNetwork:
 def uniform_network(omega) -> MeasureNetwork:
     """Network with the uniform measure on its nodes."""
     omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-        raise NonSquareError(f"omega must be square, got shape {omega.shape}")
-    n = omega.shape[0]
-    return MeasureNetwork(omega, np.full(n, 1.0 / n))
+    n = len(omega) if omega.ndim == 2 else 0
+    # MeasureNetwork rejects any shape but n x n with n >= 1
+    return MeasureNetwork(omega, np.full(n, 1.0 / max(n, 1)))
 
 
 def check_coupling(matrix: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:

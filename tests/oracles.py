@@ -231,12 +231,12 @@ def _copy_coupling(net, index, mu_hat) -> Coupling:
 
 def expansion_coupling_source(X, pair) -> Coupling:
     """Coupling of X with the expanded base of an aligned pair."""
-    return _copy_coupling(X, pair.plan.source_index, pair.mu_hat)
+    return _copy_coupling(X, pair.source_index, pair.mu_hat)
 
 
 def expansion_coupling_target(Y, pair) -> Coupling:
     """Coupling of Y with the expanded target of an aligned pair."""
-    return _copy_coupling(Y, pair.plan.target_index, pair.mu_hat)
+    return _copy_coupling(Y, pair.target_index, pair.mu_hat)
 
 
 def frechet_loss(S, Z, params=None) -> float:

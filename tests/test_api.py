@@ -19,10 +19,11 @@ def test_every_public_attribute_is_listed():
 def test_removed_names_stay_removed():
     assert not hasattr(gwnet, "NotVertexCouplingError")
     assert "NotVertexCouplingError" not in gwnet.__all__
-    assert not hasattr(gwnet.BlowupPlan, "expand_target")
-    # the copy counts u and v are derived from the indices, not stored
-    assert [f.name for f in fields(gwnet.BlowupPlan)] == [
-        "source_index", "target_index"]
+    assert not hasattr(gwnet.AlignedPair, "expand_target")
+    # an aligned pair holds its own node maps; the copy counts are derived
+    # from them, not stored
+    assert [f.name for f in fields(gwnet.AlignedPair)] == [
+        "omega_xhat", "omega_yhat", "mu_hat", "source_index", "target_index"]
     assert "lift" not in [f.name for f in fields(gwnet.FrechetGradient)]
     for name in ("FULL_STEPS", "ARMIJO_BETA", "ARMIJO_SIGMA"):
         assert not hasattr(gwnet.frechet, name), name
@@ -61,17 +62,25 @@ def test_removed_names_stay_removed():
             assert name not in gwnet.__all__, name
             assert not hasattr(module, name), name
     assert "plan" not in [f.name for f in fields(gwnet.TangentVector)]
-    assert not hasattr(gwnet.BlowupPlan, "v")
+    assert not hasattr(gwnet.AlignedPair, "v")
     assert not hasattr(gwnet.AlignedPair, "target_network")
     # the mean's base is glued in one step, so nothing replays or lifts
     # onto a grown base
-    assert not hasattr(gwnet.BlowupPlan, "expand")
+    assert not hasattr(gwnet.AlignedPair, "expand")
     assert not hasattr(gwnet.frechet, "_lift_coupling")
     # frechet_gradient is the one step that aligns a collection to a base
     assert not hasattr(gwnet, "sequential_log")
     assert "sequential_log" not in gwnet.__all__
     for name in ("sequential_log", "_SequentialLog", "_compress_log"):
         assert not hasattr(gwnet.frechet, name), name
+    # an aligned pair carries its node maps itself, and the compressed
+    # representative is one compressed frechet_gradient step
+    for module, name in ((gwnet.alignment, "BlowupPlan"),
+                         (gwnet.frechet, "compress_log")):
+        assert not hasattr(gwnet, name), name
+        assert name not in gwnet.__all__, name
+        assert not hasattr(module, name), name
+    assert not hasattr(gwnet.alignment, "_square")
     # settings and outputs that no program set or read
     assert [f.name for f in fields(gwnet.MeasureNetwork)] == ["omega", "mu"]
     for func, name in ((gwnet.uniform_network, "labels"),

@@ -60,6 +60,24 @@ def test_distance_on_a_malformed_file_fails_cleanly(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "{bad}", "{y}"],
+    ["geodesic", "{x}", "{bad}"],
+    ["compress", "{bad}", "{y}"],
+    ["mean", "{x}", "{y}", "--seed-net", "{bad}"],
+    ["pca", "{x}", "{y}", "--base", "{bad}"],
+    ["featurize", "{x}", "{y}", "--base", "{bad}"],
+])
+def test_every_network_read_names_a_file_that_does_not_parse(
+        argv, example_files, tmp_path, capsys):
+    x, y = example_files
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    argv = [a.format(x=x, y=y, bad=bad) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert f"error: {bad}: invalid json" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- geodesic
 
 def test_geodesic_writes_interpolants_and_manifest(example_files, tmp_path,
@@ -170,6 +188,15 @@ def test_pca_command_matches_the_library(family_dir, tmp_path, capsys):
     assert np.allclose(payload["components"], result.components)
     for s in ("+1.000", "-1.000"):
         assert (tmp_path / f"pca_c0_s{s}.json").exists()
+
+
+def test_pca_rejects_a_bad_grid_before_it_solves(family_dir, tmp_path,
+                                                 capsys):
+    indir, _ = family_dir
+    out = tmp_path / "pca.json"
+    assert main(["pca", str(indir), "--grid", "0,x", "--out", str(out)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- featurize

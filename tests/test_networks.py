@@ -78,6 +78,12 @@ def test_uniform_network():
         uniform_network(np.zeros((2, 3)))
 
 
+def test_uniform_network_rejects_the_empty_matrix():
+    # as MeasureNetwork does, before any division by the node count
+    with pytest.raises(NonSquareError):
+        uniform_network(np.zeros((0, 0)))
+
+
 def test_dict_round_trip(two_swap):
     d = network_to_dict(two_swap)
     back = network_from_dict(d)

@@ -1,4 +1,5 @@
-"""Randomized invariants of the distortion and the Frank-Wolfe solve.
+"""Randomized invariants of the distortion, the Frank-Wolfe solve and the
+log and exp maps.
 
 Networks have 1-12 nodes, asymmetric weights of any sign (also constant
 and 1e8-scale), and uniform or Dirichlet masses down to 1e-12. An input
@@ -7,8 +8,8 @@ may instead raise a typed GwnetError; any other exception fails.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gwnet import (GwnetError, MeasureNetwork, distortion_matrix,
-                   random_vertex, solve_gw)
+from gwnet import (GwParams, GwnetError, MeasureNetwork, distortion_matrix,
+                   exp_map, log_map, random_vertex, solve_gw)
 from conftest import measure_networks
 from oracles import gw_objective
 
@@ -75,3 +76,23 @@ def test_property_solve_trace_never_rises_and_cost_is_the_distortion(X, Y):
     trace = np.array(report.objective_trace)
     assert (np.diff(trace) <= 1e-12 * _scale(X, Y)).all()
     assert abs(report.cost - dis) <= 1e-9 * dis
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(measure_networks(), measure_networks())
+def test_property_exp_of_log_returns_the_aligned_target(X, Y):
+    try:
+        v, pair = log_map(X, Y, GwParams(max_outer_iters=30))
+        end = exp_map(v)
+    except GwnetError:
+        return
+    # exp(log) rebuilds omega_yhat as omega_xhat + (omega_yhat - omega_xhat);
+    # the two roundings bound the error by eps * (|xhat| + |yhat|)
+    eps = np.finfo(float).eps
+    bound = eps * (np.abs(pair.omega_xhat) + np.abs(pair.omega_yhat))
+    assert np.all(np.abs(end.omega - pair.omega_yhat) <= bound)
+    assert np.array_equal(end.mu, pair.mu_hat)
+    # the copies of each X node carry its mass
+    mass = np.bincount(pair.source_index, weights=pair.mu_hat,
+                       minlength=X.size)
+    assert np.abs(mass - X.mu).max() <= 4 * eps
