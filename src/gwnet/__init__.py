@@ -11,18 +11,15 @@ from .networks import (Coupling, DimensionMismatchError, GwnetError,
                        MeasureNetwork, NonFiniteEntryError,
                        NonProbabilityError, NonSquareError, ParseError,
                        SolveReport, network_from_dict, network_to_dict,
-                       read_network, uniform_network, write_network)
+                       read_network, write_network)
 from .linear_ot import InfeasibleMarginalsError, OtProblem, solve_linear_ot
 from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
-                 gw_distance, gw_gradient, northwest_corner, random_vertex,
-                 solve_gw)
+                 gw_distance, northwest_corner, random_vertex, solve_gw)
 from .alignment import (AlignedPair, aligned_distance, align, binarize,
                         blow_up, support_size)
 from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
                         geodesic_aligned)
-from .tangent import (BaseMismatchError, GeodesicCertificate, TangentVector,
-                      exp_map, geodesic_certificate, injectivity_radius,
-                      inner_product, log_map, norm)
+from .tangent import TangentVector, exp_map, log_map
 from .frechet import (FrechetGradient, FrechetParams, FrechetResult,
                       compressed_average, frechet_gradient, frechet_mean)
 from .analysis import (PcaResult, TangentDataset, featurize,
@@ -35,9 +32,9 @@ from .experiments import (SbmReport, SbmRun, SbmSpec, asymmetry_sweep,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedPair", "BaseMismatchError", "Coupling",
+    "AlignedPair", "Coupling",
     "DimensionMismatchError", "FrechetGradient", "FrechetParams",
-    "FrechetResult", "GeodesicCertificate", "GeodesicRep", "GwParams",
+    "FrechetResult", "GeodesicRep", "GwParams",
     "GwnetError", "InfeasibleMarginalsError", "MeasureNetwork",
     "NegativeRadicandError", "NonFiniteEntryError", "NonProbabilityError",
     "NonSquareError", "OtProblem", "OutOfRangeError", "ParseError",
@@ -47,12 +44,11 @@ __all__ = [
     "compressed_average", "default_sbm_spec",
     "distortion_matrix", "evaluate", "exp_map", "featurize",
     "frechet_gradient", "frechet_mean", "generate_sbm",
-    "geodesic_aligned", "geodesic_certificate",
-    "gw_distance", "gw_gradient", "injectivity_radius", "inner_product",
-    "log_map", "network_from_dict", "network_to_dict", "norm",
+    "geodesic_aligned", "gw_distance",
+    "log_map", "network_from_dict", "network_to_dict",
     "northwest_corner", "project_along_component", "random_vertex",
     "read_network", "sbm_compression_experiment",
     "solve_gw", "solve_linear_ot", "support_size",
-    "support_size_sweep", "tangent_pca", "uniform_network",
+    "support_size_sweep", "tangent_pca",
     "vectorize_at_base", "write_network",
 ]

@@ -119,6 +119,10 @@ def _cmd_geodesic(args) -> int:
     ts = _parse_numbers(args.ts)
     if not all(0.0 <= t <= 1.0 for t in ts):
         raise OutOfRangeError(f"--ts {args.ts}: every t must lie in [0, 1]")
+    mask = args.mask_threshold
+    if mask is not None and not (np.isfinite(mask) and mask >= 0.0):
+        raise OutOfRangeError(f"--mask-threshold {mask}: must be a finite "
+                              "number >= 0")
     X = _read(args.x)
     Y = _read(args.y)
     rep = geodesic_aligned(X, Y, _gw_params(args))
@@ -132,10 +136,9 @@ def _cmd_geodesic(args) -> int:
         files.append(name)
     manifest = {"ts": ts, "files": files, "halfLength": rep.half_length,
                 "size": rep.size}
-    if args.mask_threshold is not None:
+    if mask is not None:
         mu = rep.pair.mu_hat
-        manifest["lowWeightMask"] = (mu < args.mask_threshold * mu.max()) \
-            .tolist()
+        manifest["lowWeightMask"] = (mu < mask * mu.max()).tolist()
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest) + "\n")
     print(f"halfLength {rep.half_length:.9f} size {rep.size}")
@@ -187,6 +190,8 @@ def _cmd_pca(args) -> int:
     out = Path(args.out or "pca.json")
     _json_out(out)
     grid = _parse_numbers(args.grid or "")
+    if not np.all(np.isfinite(grid)):
+        raise OutOfRangeError(f"--grid {args.grid}: every step must be finite")
     _, ds = _tangent_dataset(args)
     result = tangent_pca(ds, args.components)
     payload = {
@@ -316,10 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     suffix.add_argument("--format", choices=("json", "csv"), default="json",
                         help="suffix, and so format, of the network files "
                              "this command names")
-    restarts = argparse.ArgumentParser(add_help=False)
-    restarts.add_argument("--restarts", type=int, default=0,
-                          help="extra random starts for each solve")
-    solver = argparse.ArgumentParser(add_help=False, parents=[restarts])
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--restarts", type=int, default=0,
+                        help="extra random starts for each solve")
     solver.add_argument("--max-iters", type=int, default=200,
                         help="Frank-Wolfe iteration cap of each solve "
                              "(default 200)")
@@ -347,10 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "the largest")
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("mean", parents=[common, restarts],
+    p = sub.add_parser("mean", parents=[common],
                        help="iterative mean of a collection")
     p.add_argument("inputs", nargs="+",
                    help="network files or directories of them")
+    p.add_argument("--restarts", type=int, default=0,
+                   help="extra random starts for each member's first "
+                        "alignment; later, warm-started solves run none")
     p.add_argument("--seed-net", default=None, help="seed network file")
     p.add_argument("--seed-size", type=int, default=None,
                    help="random seed network of this size, drawn at --seed")

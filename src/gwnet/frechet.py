@@ -51,7 +51,8 @@ class FrechetParams:
     The iteration stops at the first stationary iterate, and after
     max_iters steps in any case. compress "to_seed_size" block-averages
     every log map down to the seed size so the base never grows. gw
-    configures every distance solve.
+    configures every distance solve, except that a solve with a warm start
+    (every one after a member's first) runs no restarts.
     """
 
     max_iters: int = 100

@@ -117,20 +117,6 @@ def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
     return _distortion(*_objective(X, Y, C))
 
 
-def gw_gradient(X: MeasureNetwork, Y: MeasureNetwork, C) -> np.ndarray:
-    """Gradient of C -> dis(C)^2 at any n x m matrix C: with r, c its row
-    and column sums, (X.^2 + X^T.^2) r per row plus (Y.^2 + Y^T.^2) c per
-    column, minus 2 (X C Y^T + X^T C Y). solve_gw drops the marginal terms,
-    which are row and column constants on the coupling polytope.
-    """
-    C = _as_matrix(C)
-    _check_shapes(X, Y, C)
-    A, B = X.omega, Y.omega
-    r, c = C.sum(axis=1), C.sum(axis=0)
-    return (((A**2 + A.T**2) @ r)[:, None] + ((B**2 + B.T**2) @ c)[None, :]
-            - 2.0 * _cross(A, B, C))
-
-
 def northwest_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Northwest-corner vertex of the transportation polytope."""
     n, m = len(p), len(q)
@@ -167,8 +153,9 @@ def _initial_couplings(X, Y, params: GwParams) -> list[np.ndarray]:
         starts = [np.outer(p, q)]
     else:
         starts = [Coupling(params.given, p, q).matrix]
-    rng = np.random.default_rng(params.rng_seed)
-    starts += [random_vertex(p, q, rng) for _ in range(params.restarts)]
+    if params.restarts:
+        rng = np.random.default_rng(params.rng_seed)
+        starts += [random_vertex(p, q, rng) for _ in range(params.restarts)]
     return starts
 
 

@@ -105,14 +105,6 @@ class MeasureNetwork:
         return MeasureNetwork(omega, self.mu)
 
 
-def uniform_network(omega) -> MeasureNetwork:
-    """Network with the uniform measure on its nodes."""
-    omega = np.asarray(omega, dtype=float)
-    n = len(omega) if omega.ndim == 2 else 0
-    # MeasureNetwork rejects any shape but n x n with n >= 1
-    return MeasureNetwork(omega, np.full(n, 1.0 / max(n, 1)))
-
-
 def check_coupling(matrix: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     """Raise unless the float matrix is a coupling of the float vectors
     (p, q): shape (len(p), len(q)), finite entries and marginals,

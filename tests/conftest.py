@@ -29,6 +29,12 @@ def two_swap():
                           np.array([0.5, 0.5]))
 
 
+def uniform_network(omega) -> MeasureNetwork:
+    """Network with the uniform measure on its nodes."""
+    omega = np.asarray(omega, dtype=float)
+    return MeasureNetwork(omega, np.full(len(omega), 1.0 / len(omega)))
+
+
 def random_network(rng, n, asym=True, uniform_mu=True):
     omega = rng.standard_normal((n, n))
     if not asym:

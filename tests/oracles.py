@@ -194,6 +194,30 @@ def fd_gradient(X, Y, C, h=1e-6) -> np.ndarray:
     return g
 
 
+def marginal_gradient(X, Y, C) -> np.ndarray:
+    """The terms of the gradient of the squared distortion at any n x m
+    matrix C that solve_gw leaves out of its -2 (X C Y^T + X^T C Y): with
+    r, c the row and column sums of C, (X.^2 + X^T.^2) r per row plus
+    (Y.^2 + Y^T.^2) c per column. On the coupling polytope they are row
+    and column constants; finite differences off it see them.
+    """
+    C = np.asarray(C, dtype=float)
+    r, c = C.sum(axis=1), C.sum(axis=0)
+    return ((X**2 + X.T**2) @ r)[:, None] + ((Y**2 + Y.T**2) @ c)[None, :]
+
+
+def inner_product(v, w) -> float:
+    """<v, w> = sum_ij v_ij w_ij mu_i mu_j, the L2(mu x mu) product of two
+    tangent vectors on one base."""
+    assert np.array_equal(v.base.mu, w.base.mu)
+    mu = v.base.mu
+    return float(mu @ (v.f * w.f) @ mu)
+
+
+def norm(v) -> float:
+    return float(np.sqrt(inner_product(v, v)))
+
+
 def geodesic_naive(X, Y, C):
     """Reference geodesic on the coupling's support in the product space.
 

@@ -16,15 +16,17 @@ from gwnet import (Coupling, FrechetParams, GwParams, MeasureNetwork,
                    TangentDataset, blow_up, default_sbm_spec,
                    distortion_matrix, evaluate, exp_map, featurize,
                    frechet_gradient, frechet_mean, generate_sbm,
-                   geodesic_aligned, gw_distance, gw_gradient, log_map,
-                   random_vertex, sbm_compression_experiment, solve_gw,
-                   support_size_sweep, tangent_pca, uniform_network,
-                   vectorize_at_base)
+                   geodesic_aligned, gw_distance, log_map, random_vertex,
+                   sbm_compression_experiment, solve_gw, support_size_sweep,
+                   tangent_pca, vectorize_at_base)
+from gwnet.gw import _cross
 
-from conftest import REPORT_LINES, psd_network, random_network
+from conftest import (REPORT_LINES, psd_network, random_network,
+                      uniform_network)
 from oracles import (brute_min_gw, dense_weighted_pca,
                      expansion_coupling_target, fd_gradient, gw_objective,
-                     half_sample_block_means, relabeled_gap)
+                     half_sample_block_means, marginal_gradient,
+                     relabeled_gap)
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
@@ -65,7 +67,10 @@ def test_gradient_matches_finite_differences():
         X = random_network(rng, n, uniform_mu=False)
         Y = random_network(rng, m, uniform_mu=False)
         C = _mixed_coupling(rng, X.mu, Y.mu)
-        g = gw_gradient(X, Y, C)
+        A, B = X.omega, Y.omega
+        # the gradient solve_gw steps along, plus the marginal terms it
+        # leaves out because they are constant on the polytope
+        g = marginal_gradient(A, B, C) - 2.0 * _cross(A, B, C)
         worst = max(worst, np.abs(g - fd_gradient(X.omega, Y.omega, C)).max())
     ok = worst <= 1e-5
     assert _report("gradient vs finite differences", ok,

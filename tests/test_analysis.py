@@ -3,7 +3,7 @@ import pytest
 
 from gwnet import (GwnetError, MeasureNetwork, PcaResult, TangentDataset,
                    featurize, project_along_component, tangent_pca,
-                   uniform_network, vectorize_at_base)
+                   vectorize_at_base)
 
 from conftest import diagonal_start, random_network
 from oracles import dense_weighted_pca

@@ -1,7 +1,11 @@
+import ast
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import gwnet
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_resolves():
@@ -83,16 +87,52 @@ def test_removed_names_stay_removed():
     assert not hasattr(gwnet.alignment, "_square")
     # settings and outputs that no program set or read
     assert [f.name for f in fields(gwnet.MeasureNetwork)] == ["omega", "mu"]
-    for func, name in ((gwnet.uniform_network, "labels"),
-                       (gwnet.frechet_mean, "seed_rng"),
+    for func, name in ((gwnet.frechet_mean, "seed_rng"),
                        (gwnet.asymmetry_sweep, "params")):
         assert name not in inspect.signature(func).parameters, name
     assert "permutation" not in [f.name for f in fields(gwnet.SbmRun)]
     assert "weights" not in [f.name for f in fields(gwnet.PcaResult)]
-    two = gwnet.uniform_network([[0.0, 1.0], [1.0, 0.0]])
+    two = gwnet.MeasureNetwork([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     assert isinstance(gwnet.align(two, two), gwnet.AlignedPair)
     prob = gwnet.OtProblem(two.omega, two.mu, two.mu)
     assert isinstance(gwnet.solve_linear_ot(prob), gwnet.Coupling)
+    # public code that only tests called
+    for module, names in (
+            (gwnet.gw, ("gw_gradient",)),
+            (gwnet.tangent, ("injectivity_radius", "GeodesicCertificate",
+                             "geodesic_certificate", "inner_product", "norm",
+                             "BaseMismatchError")),
+            (gwnet.networks, ("uniform_network",))):
+        for name in names:
+            assert not hasattr(gwnet, name), name
+            assert name not in gwnet.__all__, name
+            assert not hasattr(module, name), name
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__",
+                 "_check_same_base"):
+        assert name not in vars(gwnet.TangentVector), name
+
+
+def test_every_exported_name_has_a_program_caller():
+    """Every name in __all__ is referenced by the library outside
+    __init__.py, by bench/ (its test files excluded) or by demos/.
+
+    A reference is an ast.Name or ast.Attribute with that name anywhere in
+    those files, so this cannot see dead code that only other dead code
+    calls: an exported function whose one caller no program calls passes.
+    """
+    files = [f for f in (ROOT / "src" / "gwnet").glob("*.py")
+             if f.name != "__init__.py"]
+    files += [f for f in (ROOT / "bench").glob("*.py")
+              if not f.name.startswith("test_")]
+    files += list((ROOT / "demos").glob("*.py"))
+    seen = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+    assert sorted(set(gwnet.__all__) - seen) == []
 
 
 def test_solver_and_mean_settings():

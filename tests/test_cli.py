@@ -111,6 +111,20 @@ def test_geodesic_checks_every_t_before_writing(example_files, tmp_path,
     assert list(outdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5"])
+def test_geodesic_rejects_a_mask_threshold_that_is_not_finite_and_nonnegative(
+        example_files, tmp_path, capsys, threshold):
+    # every comparison with nan is false: a nan threshold flags no node
+    x, y = example_files
+    outdir = tmp_path / "geo"
+    outdir.mkdir()
+    rc = main(["geodesic", x, y, "--out", str(outdir),
+               f"--mask-threshold={threshold}"])
+    assert rc == 1
+    assert "--mask-threshold" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
 # -------------------------------------------------------------------- mean
 
 def test_mean_command_recovers_the_midpoint(tmp_path, two_swap, capsys):
@@ -197,6 +211,16 @@ def test_pca_rejects_a_bad_grid_before_it_solves(family_dir, tmp_path,
     assert main(["pca", str(indir), "--grid", "0,x", "--out", str(out)]) == 1
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0,nan", "inf", "-inf,1"])
+def test_pca_rejects_a_step_that_is_not_finite_before_it_solves(
+        family_dir, tmp_path, capsys, grid):
+    indir, _ = family_dir
+    out = tmp_path / "pca.json"
+    assert main(["pca", str(indir), f"--grid={grid}", "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.glob("pca*")) == []
 
 
 # --------------------------------------------------------------- featurize

@@ -7,13 +7,12 @@ from gwnet import (Coupling, DimensionMismatchError, FrechetGradient,
                    FrechetParams, GwParams, GwnetError, MeasureNetwork,
                    TangentVector, blow_up, compressed_average,
                    frechet_gradient, frechet_mean, gw_distance,
-                   inner_product, read_network, solve_gw,
-                   support_size, uniform_network, vectorize_at_base,
+                   read_network, solve_gw, support_size, vectorize_at_base,
                    write_network)
 from gwnet.alignment import _block_average, glue
 
-from conftest import diagonal_start, random_network
-from oracles import frechet_loss
+from conftest import diagonal_start, random_network, uniform_network
+from oracles import frechet_loss, inner_product
 
 
 def _example_pair(one_node, two_swap):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from gwnet import (Coupling, GwnetError, MeasureNetwork, NonFiniteEntryError,
                    NonProbabilityError, NonSquareError, ParseError,
                    network_from_dict, network_to_dict, read_network,
-                   uniform_network, write_network)
+                   write_network)
 from conftest import measure_networks
 
 
@@ -22,6 +22,8 @@ def test_non_square_rejected():
         MeasureNetwork(np.zeros((2, 3)), np.array([0.5, 0.5]))
     with pytest.raises(NonSquareError):
         MeasureNetwork(np.zeros(3), np.full(3, 1 / 3))
+    with pytest.raises(NonSquareError):
+        MeasureNetwork(np.zeros((0, 0)), np.zeros(0))
 
 
 def test_mu_sum_off_rejected():
@@ -69,19 +71,6 @@ def test_with_omega_keeps_measure(two_swap):
     net = two_swap.with_omega(np.ones((2, 2)))
     assert np.array_equal(net.omega, np.ones((2, 2)))
     assert np.array_equal(net.mu, two_swap.mu)
-
-
-def test_uniform_network():
-    net = uniform_network(np.arange(9.0).reshape(3, 3))
-    assert np.allclose(net.mu, 1 / 3)
-    with pytest.raises(NonSquareError):
-        uniform_network(np.zeros((2, 3)))
-
-
-def test_uniform_network_rejects_the_empty_matrix():
-    # as MeasureNetwork does, before any division by the node count
-    with pytest.raises(NonSquareError):
-        uniform_network(np.zeros((0, 0)))
 
 
 def test_dict_round_trip(two_swap):
