@@ -22,6 +22,11 @@ def test_non_square_rejected():
         MeasureNetwork(np.zeros((2, 3)), np.array([0.5, 0.5]))
     with pytest.raises(NonSquareError):
         MeasureNetwork(np.zeros(3), np.full(3, 1 / 3))
+
+
+def test_uniform_network_rejects_the_empty_matrix():
+    # a network needs at least one node; the empty matrix is refused
+    # before any division by the node count
     with pytest.raises(NonSquareError):
         MeasureNetwork(np.zeros((0, 0)), np.zeros(0))
 
