@@ -8,8 +8,7 @@ exactly that average.
 """
 import numpy as np
 
-from gwnet import (Coupling, MeasureNetwork, blow_up, frechet_mean,
-                   gw_distance, solve_gw)
+from gwnet import MeasureNetwork, blow_up, frechet_mean, gw_distance, solve_gw
 
 X = MeasureNetwork(np.array([[1.0]]), np.array([1.0]))
 Y = MeasureNetwork(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))

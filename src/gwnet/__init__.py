@@ -15,8 +15,7 @@ from .networks import (Coupling, DimensionMismatchError, GwnetError,
 from .linear_ot import InfeasibleMarginalsError, OtProblem, solve_linear_ot
 from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
                  gw_distance, northwest_corner, random_vertex, solve_gw)
-from .alignment import (AlignedPair, aligned_distance, align, binarize,
-                        blow_up, support_size)
+from .alignment import AlignedPair, aligned_distance, blow_up, support_size
 from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
                         geodesic_aligned)
 from .tangent import TangentVector, exp_map, log_map
@@ -40,7 +39,7 @@ __all__ = [
     "NonSquareError", "OtProblem", "OutOfRangeError", "ParseError",
     "PcaResult", "SbmReport", "SbmRun", "SbmSpec", "SolveReport",
     "TangentDataset", "TangentVector",
-    "aligned_distance", "align", "asymmetry_sweep", "binarize", "blow_up",
+    "aligned_distance", "asymmetry_sweep", "blow_up",
     "compressed_average", "default_sbm_spec",
     "distortion_matrix", "evaluate", "exp_map", "featurize",
     "frechet_gradient", "frechet_mean", "generate_sbm",

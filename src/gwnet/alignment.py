@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import Coupling, MeasureNetwork, check_coupling
-from .gw import GwParams, _as_matrix, solve_gw
+from .gw import _as_matrix
 
 # entries below this fraction of the largest one are treated as zeros;
 # line searches leave dust that must not spawn spurious node copies
@@ -41,14 +41,9 @@ def _support_mask(x: np.ndarray) -> np.ndarray:
     return mask
 
 
-def binarize(C) -> np.ndarray:
-    """0/1 support indicator of a coupling."""
-    return _support_mask(_as_matrix(C)).astype(float)
-
-
 def support_size(C) -> int:
     """Number of coupling entries in the support: the size of its blow-up."""
-    return int(binarize(C).sum())
+    return int(_support_mask(_as_matrix(C)).sum())
 
 
 @dataclass(frozen=True)
@@ -185,16 +180,6 @@ def aligned_distance(pair: AlignedPair) -> float:
     diff2 = (pair.omega_xhat - pair.omega_yhat) ** 2
     dis2 = float(pair.mu_hat @ diff2 @ pair.mu_hat)
     return float(np.sqrt(dis2)) / 2.0
-
-
-def align(X: MeasureNetwork, Y: MeasureNetwork,
-          params: GwParams | None = None,
-          coupling: Coupling | None = None) -> AlignedPair:
-    """Blow up the given coupling, or else the one solve_gw(X, Y, params)
-    returns, into an aligned pair."""
-    if coupling is None:
-        coupling, _ = solve_gw(X, Y, params)
-    return blow_up(X, Y, coupling)
 
 
 def _expansion_matrix(index, n: int, pair: AlignedPair) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .networks import (GwnetError, MeasureNetwork, ParseError, _format_for,
-                       read_network, write_network)
+                       check_count, read_network, write_network)
 from .gw import GwParams, solve_gw
 from .geodesics import OutOfRangeError, evaluate, geodesic_aligned
 from .frechet import FrechetParams, compressed_average, frechet_mean
@@ -89,6 +89,17 @@ def _read(path) -> MeasureNetwork:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _check_names(flag: str, values: list, names: list[str]) -> None:
+    """Refuse two different values of flag that name the same file; the
+    later one would overwrite the earlier. A repeated value may stay."""
+    first: dict[str, float] = {}
+    for value, name in zip(values, names):
+        other = first.setdefault(name, value)
+        if other != value:
+            raise GwnetError(f"{flag}: {other} and {value} both name "
+                             f"files ending in {name}")
+
+
 def _gw_params(args) -> GwParams:
     return GwParams(max_outer_iters=args.max_iters,
                     restarts=args.restarts, rng_seed=args.seed)
@@ -119,6 +130,8 @@ def _cmd_geodesic(args) -> int:
     ts = _parse_numbers(args.ts)
     if not all(0.0 <= t <= 1.0 for t in ts):
         raise OutOfRangeError(f"--ts {args.ts}: every t must lie in [0, 1]")
+    names = [f"t_{t:.4f}.{args.format}" for t in ts]
+    _check_names("--ts", ts, names)
     mask = args.mask_threshold
     if mask is not None and not (np.isfinite(mask) and mask >= 0.0):
         raise OutOfRangeError(f"--mask-threshold {mask}: must be a finite "
@@ -128,13 +141,9 @@ def _cmd_geodesic(args) -> int:
     rep = geodesic_aligned(X, Y, _gw_params(args))
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for t in ts:
-        net = evaluate(rep, t)
-        name = f"t_{t:.4f}.{args.format}"
-        write_network(net, outdir / name)
-        files.append(name)
-    manifest = {"ts": ts, "files": files, "halfLength": rep.half_length,
+    for t, name in zip(ts, names):
+        write_network(evaluate(rep, t), outdir / name)
+    manifest = {"ts": ts, "files": names, "halfLength": rep.half_length,
                 "size": rep.size}
     if mask is not None:
         mu = rep.pair.mu_hat
@@ -192,6 +201,10 @@ def _cmd_pca(args) -> int:
     grid = _parse_numbers(args.grid or "")
     if not np.all(np.isfinite(grid)):
         raise OutOfRangeError(f"--grid {args.grid}: every step must be finite")
+    steps = [f"s{s:+.3f}.{args.format}" for s in grid]
+    _check_names("--grid", grid, steps)
+    if args.components is not None:
+        check_count(args.components, "--components", 0)
     _, ds = _tangent_dataset(args)
     result = tangent_pca(ds, args.components)
     payload = {
@@ -203,9 +216,9 @@ def _cmd_pca(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload) + "\n")
     for ci in range(result.num_components):
-        for s in grid:
+        for s, step in zip(grid, steps):
             net = project_along_component(result, ds.base, ci, s)
-            name = out.with_name(f"{out.stem}_c{ci}_s{s:+.3f}.{args.format}")
+            name = out.with_name(f"{out.stem}_c{ci}_{step}")
             write_network(net, name)
     ratios = ", ".join(f"{r:.4f}"
                        for r in result.explained_variance_ratios[:5])
@@ -238,7 +251,7 @@ def _sbm_spec(args) -> SbmSpec:
         with open(args.means_file, "r", encoding="utf-8") as fh:
             try:
                 means = np.array(json.load(fh), dtype=float)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ParseError(f"{args.means_file}: {exc}") from None
     elif args.means:
         means = _parse_matrix(args.means)

@@ -31,7 +31,6 @@ from .networks import (DimensionMismatchError, GwnetError, MeasureNetwork,
 from .gw import GwParams, solve_gw
 from .alignment import (_block_average, _expansion_matrix, aligned_distance,
                         blow_up, glue)
-from .tangent import TangentVector
 
 
 # A step of TAU lands exactly on the entrywise mean of the aligned members
@@ -87,7 +86,7 @@ def _warm_params(gw_params: GwParams, start: np.ndarray | None) -> GwParams:
 
 @dataclass(frozen=True)
 class FrechetGradient:
-    gradient: TangentVector       # on the common base
+    gradient: np.ndarray          # on the common base
     base: MeasureNetwork
     targets: tuple
     loss: float                   # mean squared distance at the current couplings
@@ -131,9 +130,8 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
         couplings = [_expansion_matrix(p.target_index, Y.size, p).T
                      for Y, p in zip(S, pairs)]
     loss = float(np.mean([aligned_distance(p) ** 2 for p in pairs]))
-    return FrechetGradient(gradient=TangentVector(base, g), base=base,
-                           targets=tuple(targets), loss=loss,
-                           couplings=tuple(couplings))
+    return FrechetGradient(gradient=g, base=base, targets=tuple(targets),
+                           loss=loss, couplings=tuple(couplings))
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,7 @@ def frechet_mean(S: list[MeasureNetwork],
 
     for it in range(params.max_iters + 1):
         grad = frechet_gradient(S, X, params, warm=warm)
-        loss, base, g = grad.loss, grad.base, grad.gradient.f
+        loss, base, g = grad.loss, grad.base, grad.gradient
         warm = grad.couplings
         trace.append((it, loss, base.size))
         if best is None or loss < best[0]:
@@ -209,5 +207,5 @@ def compressed_average(X: MeasureNetwork, Y: MeasureNetwork,
     omega_X - (TAU/2) g. Y is solved against X once, with params.gw.
     """
     params = replace(params or FrechetParams(), compress="to_seed_size")
-    g = frechet_gradient([Y], X, params).gradient.f
+    g = frechet_gradient([Y], X, params).gradient
     return X.with_omega(X.omega - TAU / 2 * g)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .networks import Coupling, GwnetError, MeasureNetwork
-from .gw import GwParams
-from .alignment import AlignedPair, aligned_distance, align
+from .networks import GwnetError, MeasureNetwork
+from .gw import GwParams, solve_gw
+from .alignment import AlignedPair, aligned_distance, blow_up
 
 
 class OutOfRangeError(GwnetError):
@@ -40,15 +40,16 @@ def evaluate(g: GeodesicRep, t: float) -> MeasureNetwork:
 
 
 def geodesic_aligned(X: MeasureNetwork, Y: MeasureNetwork,
-                     params: GwParams | None = None,
-                     coupling: Coupling | None = None) -> GeodesicRep:
-    """Minimal-size geodesic representation from a locally optimal coupling.
+                     params: GwParams | None = None) -> GeodesicRep:
+    """Minimal-size geodesic representation from the locally optimal
+    coupling solve_gw(X, Y, params) returns.
 
     The representation has at most n + m - 1 nodes when the coupling is a
     polytope vertex. Its half_length is the distance certified by the
     alignment; the path is a true geodesic exactly when the coupling is
     globally optimal.
     """
-    pair = align(X, Y, params, coupling)
+    coupling, _ = solve_gw(X, Y, params)
+    pair = blow_up(X, Y, coupling)
     return GeodesicRep(pair=pair, half_length=aligned_distance(pair))
 

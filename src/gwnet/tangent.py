@@ -2,10 +2,11 @@
 
 A tangent vector at X is a square matrix of weight differences living on a
 representative of X (possibly expanded), together with that representative's
-measure. The log map produces one from a second network by aligning it to
-the base; the exp map adds one back onto the base weights. The inner
-product of tangent vectors is that of L2(mu x mu); `analysis` applies it
-to tangent datasets through their weights.
+measure. The log map produces one from a second network by blowing up a
+coupling of the base and that network; the exp map adds one back onto the
+base weights. The inner product of tangent vectors is that of
+L2(mu x mu); `analysis` applies it to tangent datasets through their
+weights.
 """
 from __future__ import annotations
 
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import GwnetError, MeasureNetwork
-from .gw import GwParams
-from .alignment import AlignedPair, align
+from .networks import Coupling, GwnetError, MeasureNetwork
+from .alignment import AlignedPair, blow_up
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,15 @@ class TangentVector:
 
 
 def log_map(X: MeasureNetwork, Y: MeasureNetwork,
-            params: GwParams | None = None,
-            coupling=None) -> tuple[TangentVector, AlignedPair]:
-    """Lift Y to a tangent vector at X.
+            coupling: Coupling) -> tuple[TangentVector, AlignedPair]:
+    """Lift Y to a tangent vector at X along a coupling of the two.
 
-    Aligns Y to X along a (locally) optimal coupling and returns
-    f = omega_yhat - omega_xhat on the expanded base, plus the aligned pair.
-    The direction depends on which optimal coupling the solver lands on;
-    the solver itself is deterministic for fixed parameters.
+    Blows the coupling up and returns f = omega_yhat - omega_xhat on the
+    expanded base, plus the aligned pair. The direction depends on which
+    (locally) optimal coupling is given, for instance the one solve_gw
+    lands on; the solver itself is deterministic for fixed parameters.
     """
-    pair = align(X, Y, params, coupling)
+    pair = blow_up(X, Y, coupling)
     base = pair.base_network()
     f = pair.omega_yhat - pair.omega_xhat
     return TangentVector(base=base, f=f), pair

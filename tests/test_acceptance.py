@@ -10,11 +10,11 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from gwnet import (Coupling, FrechetParams, GwParams, MeasureNetwork,
-                   TangentDataset, blow_up, default_sbm_spec,
-                   distortion_matrix, evaluate, exp_map, featurize,
+from gwnet import (Coupling, FrechetParams, GeodesicRep, GwParams,
+                   MeasureNetwork, TangentDataset, aligned_distance, blow_up,
+                   default_sbm_spec, distortion_matrix, evaluate, exp_map,
+                   featurize,
                    frechet_gradient, frechet_mean, generate_sbm,
                    geodesic_aligned, gw_distance, log_map, random_vertex,
                    sbm_compression_experiment, solve_gw, support_size_sweep,
@@ -112,7 +112,8 @@ def test_geodesic_interpolation_distances():
         # global oracle and the interpolation below is a genuine geodesic
         val, V = brute_min_gw(X.omega, Y.omega, X.mu, Y.mu)
         d = np.sqrt(max(val, 0.0)) / 2.0
-        g = geodesic_aligned(X, Y, coupling=Coupling(V, X.mu, Y.mu))
+        pair = blow_up(X, Y, Coupling(V, X.mu, Y.mu))
+        g = GeodesicRep(pair, aligned_distance(pair))
         worst = max(worst, abs(g.half_length - d))
         for a in range(len(ts)):
             for b in range(a + 1, len(ts)):
@@ -147,7 +148,8 @@ def test_exp_undoes_log_across_random_pairs():
         n, m = rng.integers(2, 6), rng.integers(2, 6)
         X = random_network(rng, n, uniform_mu=False)
         Y = random_network(rng, m, uniform_mu=False)
-        v, pair = log_map(X, Y, GwParams(restarts=2, rng_seed=0))
+        C, _ = solve_gw(X, Y, GwParams(restarts=2, rng_seed=0))
+        v, pair = log_map(X, Y, C)
         Z = exp_map(v)
         C = expansion_coupling_target(Y, pair)
         d = gw_distance(Y, Z, GwParams(given=C.matrix))
@@ -165,7 +167,7 @@ def test_mean_gradient_vanishes_and_descent_returns():
     mean_net = A.with_omega(np.mean([m.omega for m in members], axis=0))
     params = FrechetParams(gw=GwParams(given=np.diag(A.mu)))
     grad = frechet_gradient(members, mean_net, params)
-    exact_zero = not grad.gradient.f.any()
+    exact_zero = not grad.gradient.any()
 
     seed = mean_net.with_omega(mean_net.omega
                                + 0.02 * rng.standard_normal((4, 4)))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gwnet import (GwnetError, MeasureNetwork, PcaResult, TangentDataset,
-                   featurize, project_along_component, tangent_pca,
-                   vectorize_at_base)
+from gwnet import (GwnetError, featurize, project_along_component,
+                   tangent_pca, vectorize_at_base)
 
 from conftest import diagonal_start, random_network
 from oracles import dense_weighted_pca

@@ -43,8 +43,8 @@ def test_removed_names_stay_removed():
     assert "to_vertex_coupling" not in gwnet.__all__
     assert not hasattr(gwnet.alignment, "to_vertex_coupling")
     assert "init_coupling" not in [f.name for f in fields(gwnet.GwParams)]
-    for func in (gwnet.binarize, gwnet.support_size):
-        assert "threshold" not in inspect.signature(func).parameters
+    assert "threshold" not in inspect.signature(
+        gwnet.support_size).parameters
     assert "gw_params" not in inspect.signature(
         gwnet.support_size_sweep).parameters
     assert not hasattr(gwnet, "validate_network")
@@ -93,7 +93,8 @@ def test_removed_names_stay_removed():
     assert "permutation" not in [f.name for f in fields(gwnet.SbmRun)]
     assert "weights" not in [f.name for f in fields(gwnet.PcaResult)]
     two = gwnet.MeasureNetwork([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
-    assert isinstance(gwnet.align(two, two), gwnet.AlignedPair)
+    assert isinstance(gwnet.geodesic_aligned(two, two).pair,
+                      gwnet.AlignedPair)
     prob = gwnet.OtProblem(two.omega, two.mu, two.mu)
     assert isinstance(gwnet.solve_linear_ot(prob), gwnet.Coupling)
     # public code that only tests called
@@ -110,6 +111,21 @@ def test_removed_names_stay_removed():
     for name in ("__add__", "__sub__", "__mul__", "__rmul__",
                  "_check_same_base"):
         assert name not in vars(gwnet.TangentVector), name
+    # one way into each alignment: log_map blows up the coupling it is
+    # given, geodesic_aligned solves first, and nothing else wraps blow_up
+    for name in ("align", "binarize"):
+        assert not hasattr(gwnet, name), name
+        assert name not in gwnet.__all__, name
+        assert not hasattr(gwnet.alignment, name), name
+    assert list(inspect.signature(gwnet.log_map).parameters) == [
+        "X", "Y", "coupling"]
+    assert list(inspect.signature(gwnet.geodesic_aligned).parameters) == [
+        "X", "Y", "params"]
+    # the mean's gradient is a plain matrix on FrechetGradient.base
+    assert not hasattr(gwnet.frechet, "TangentVector")
+    for module in (gwnet.alignment, gwnet.tangent):
+        for name in ("solve_gw", "GwParams"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_every_exported_name_has_a_program_caller():
@@ -120,19 +136,80 @@ def test_every_exported_name_has_a_program_caller():
     those files, so this cannot see dead code that only other dead code
     calls: an exported function whose one caller no program calls passes.
     """
-    files = [f for f in (ROOT / "src" / "gwnet").glob("*.py")
-             if f.name != "__init__.py"]
-    files += [f for f in (ROOT / "bench").glob("*.py")
-              if not f.name.startswith("test_")]
-    files += list((ROOT / "demos").glob("*.py"))
     seen = set()
-    for f in files:
+    for f in _program_files():
         for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 seen.add(node.id)
             elif isinstance(node, ast.Attribute):
                 seen.add(node.attr)
     assert sorted(set(gwnet.__all__) - seen) == []
+
+
+def _program_files() -> list[Path]:
+    """The library outside __init__.py, bench/ without its tests, demos/."""
+    files = [f for f in (ROOT / "src" / "gwnet").glob("*.py")
+             if f.name != "__init__.py"]
+    files += [f for f in (ROOT / "bench").glob("*.py")
+              if not f.name.startswith("test_")]
+    return files + list((ROOT / "demos").glob("*.py"))
+
+
+def test_every_parameter_is_passed_by_a_program():
+    """Every parameter of every function in __all__ is passed at some call
+    of it in the program files: by keyword, by position, or through * or
+    ** (which count for every parameter). A call is an ast.Call whose
+    callee is a Name or an Attribute with the function's name. Classes
+    are not covered."""
+    funcs = {name: inspect.signature(getattr(gwnet, name)).parameters
+             for name in gwnet.__all__
+             if inspect.isfunction(getattr(gwnet, name))}
+    passed = {name: set() for name in funcs}
+    for f in _program_files():
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee not in funcs:
+                continue
+            params = list(funcs[callee])
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                passed[callee].update(params)
+                continue
+            passed[callee].update(params[:len(node.args)])
+            passed[callee].update(k.arg for k in node.keywords)
+    unpassed = sorted(f"{name}.{p}" for name, params in funcs.items()
+                      for p, spec in params.items()
+                      if p not in passed[name]
+                      and spec.kind not in (spec.VAR_POSITIONAL,
+                                            spec.VAR_KEYWORD))
+    assert unpassed == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never refers to. A dotted `import a.b`
+    binds `a`; `from __future__` imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    files = [f for f in (ROOT / "src" / "gwnet").glob("*.py")
+             if f.name != "__init__.py"]
+    files += list((ROOT / "tests").glob("*.py"))
+    files += list((ROOT / "demos").glob("*.py"))
+    unused = {f"{f.parent.name}/{f.name}": names for f in files
+              if (names := _unused_imports(f))}
+    assert unused == {}
 
 
 def test_solver_and_mean_settings():

@@ -125,6 +125,24 @@ def test_geodesic_rejects_a_mask_threshold_that_is_not_finite_and_nonnegative(
     assert list(outdir.iterdir()) == []
 
 
+def test_geodesic_rejects_ts_that_name_the_same_file(example_files, tmp_path,
+                                                     capsys):
+    # t_0.1000.json for both: the second network would overwrite the first
+    x, y = example_files
+    outdir = tmp_path / "geo"
+    outdir.mkdir()
+    rc = main(["geodesic", x, y, "--ts", "0.10001,0.10002,0.5",
+               "--out", str(outdir)])
+    assert rc == 1
+    assert "t_0.1000.json" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+    # a repeated value names its file twice, as before
+    assert main(["geodesic", x, y, "--ts", "0.5,0.5", "--out",
+                 str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["files"] == ["t_0.5000.json", "t_0.5000.json"]
+
+
 # -------------------------------------------------------------------- mean
 
 def test_mean_command_recovers_the_midpoint(tmp_path, two_swap, capsys):
@@ -221,6 +239,30 @@ def test_pca_rejects_a_step_that_is_not_finite_before_it_solves(
     assert main(["pca", str(indir), f"--grid={grid}", "--out", str(out)]) == 1
     assert "finite" in capsys.readouterr().err
     assert list(tmp_path.glob("pca*")) == []
+
+
+def test_pca_rejects_steps_that_name_the_same_file(family_dir, tmp_path,
+                                                   capsys):
+    indir, _ = family_dir
+    out = tmp_path / "pca.json"
+    assert main(["pca", str(indir), "--grid=0.1,0.1001",
+                 "--out", str(out)]) == 1
+    assert "s+0.100.json" in capsys.readouterr().err
+    assert list(tmp_path.glob("pca*")) == []
+    # a repeated step writes the same network twice
+    assert main(["pca", str(indir), "--grid=0.1,0.1", "--components", "1",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("pca*")) == [
+        "pca.json", "pca_c0_s+0.100.json"]
+
+
+def test_pca_checks_the_component_count_before_it_reads(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["pca", str(missing), "--components", "-1",
+                 "--out", str(tmp_path / "pca.json")]) == 1
+    err = capsys.readouterr().err
+    assert "error: --components must be at least 0, got -1" in err
+    assert "io error" not in err
 
 
 # --------------------------------------------------------------- featurize
@@ -536,6 +578,16 @@ def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
     argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["sbm-gen"],
+                                  ["sbm-experiment", "--runs", "1"]])
+def test_a_means_file_holding_an_object_fails_cleanly(argv, tmp_path, capsys):
+    means = tmp_path / "m.json"
+    means.write_text('{"a": 1}')
+    assert main(argv + ["--block-sizes", "2,2",
+                        "--means-file", str(means)]) == 1
+    assert f"error: {means}: " in capsys.readouterr().err
 
 
 def test_unknown_command_exits_with_usage_error():

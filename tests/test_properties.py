@@ -82,7 +82,8 @@ def test_property_solve_trace_never_rises_and_cost_is_the_distortion(X, Y):
 @given(measure_networks(), measure_networks())
 def test_property_exp_of_log_returns_the_aligned_target(X, Y):
     try:
-        v, pair = log_map(X, Y, GwParams(max_outer_iters=30))
+        C, _ = solve_gw(X, Y, GwParams(max_outer_iters=30))
+        v, pair = log_map(X, Y, C)
         end = exp_map(v)
     except GwnetError:
         return

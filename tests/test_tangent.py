@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gwnet import (Coupling, GwParams, GwnetError, TangentVector,
-                   aligned_distance, exp_map, gw_distance, log_map)
+                   aligned_distance, exp_map, gw_distance, log_map, solve_gw)
 
 from conftest import random_network
 from oracles import expansion_coupling_target, norm
@@ -44,7 +44,8 @@ def test_exp_undoes_log_up_to_weak_isomorphism():
     for _ in range(5):
         X = random_network(rng, 3, uniform_mu=False)
         Y = random_network(rng, 4, uniform_mu=False)
-        v, pair = log_map(X, Y, GwParams(restarts=4, rng_seed=0))
+        C, _ = solve_gw(X, Y, GwParams(restarts=4, rng_seed=0))
+        v, pair = log_map(X, Y, C)
         Z = exp_map(v)
         # the endpoint is the target expansion node for node
         assert np.allclose(Z.omega, pair.omega_yhat, atol=1e-12)
@@ -60,7 +61,8 @@ def test_norm_of_the_log_is_twice_the_distance():
     for _ in range(5):
         X = random_network(rng, 3, uniform_mu=False)
         Y = random_network(rng, 5, uniform_mu=False)
-        v, pair = log_map(X, Y, GwParams(restarts=4, rng_seed=0))
+        C, _ = solve_gw(X, Y, GwParams(restarts=4, rng_seed=0))
+        v, pair = log_map(X, Y, C)
         assert norm(v) == pytest.approx(2 * aligned_distance(pair),
                                         rel=1e-9, abs=1e-12)
 
