@@ -42,8 +42,12 @@ class SbmSpec:
         B = len(sizes)
         if means.shape != (B, B):
             raise GwnetError(f"means must be {B}x{B}, got {means.shape}")
-        if not self.variance >= 0:
-            raise GwnetError("variance must be nonnegative")
+        if not np.isfinite(means).all():
+            raise GwnetError("means must be finite")
+        # written so that NaN fails too
+        if not 0 <= self.variance < np.inf:
+            raise GwnetError(
+                f"variance must be finite and nonnegative, got {self.variance}")
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "means", means)
 
@@ -105,13 +109,17 @@ def _best_block_permutation(recovered: np.ndarray,
                             target: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Block labels are arbitrary; find the relabeling with the smallest
     worst-entry deviation from the target."""
-    B = target.shape[0]
     best_perm, best_dev = None, np.inf
-    for perm in itertools.permutations(range(B)):
-        p = np.array(perm)
-        dev = float(np.max(np.abs(recovered[np.ix_(p, p)] - target)))
-        if dev < best_dev:
-            best_perm, best_dev = perm, dev
+    relabelings = itertools.permutations(range(target.shape[0]))
+    # scored 5040 (7!) at a time, so that memory stays small at large B
+    while chunk := list(itertools.islice(relabelings, 5040)):
+        perms = np.array(chunk)
+        devs = np.abs(recovered[perms[:, :, None], perms[:, None, :]]
+                      - target).max(axis=(1, 2))
+        k = int(devs.argmin())
+        # the first strict minimum in the order of the relabelings
+        if devs[k] < best_dev:
+            best_perm, best_dev = chunk[k], float(devs[k])
     return best_perm, best_dev
 
 

@@ -10,9 +10,10 @@ Two paths, chosen by the input:
   scaled Birkhoff polytope, whose vertices are the permutation matrices
   times that mass (Birkhoff-von Neumann). The problem is then an assignment
   problem, solved exactly by scipy's linear_sum_assignment. Its n entries
-  are the stored masses, so the marginals hold exactly. scipy.optimize
-  takes most of the time of importing gwnet, so it is loaded by the first
-  assignment solve, not on import.
+  are the stored masses, so the marginals hold exactly. The first
+  assignment solve loads scipy's compiled assignment extension alone, from
+  its file, and not scipy.optimize, which would add about 0.4 s and 48 MB
+  to the process for this one function.
 - every other shape: an exact transportation (network) simplex in Python
   and numpy. It starts from a matrix-minimum spanning tree, prices every
   cell at once with numpy, and keeps its trees strongly feasible, so
@@ -24,6 +25,10 @@ Two paths, chosen by the input:
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +101,50 @@ def _is_assignment(p: np.ndarray, q: np.ndarray) -> bool:
             and bool(np.all(q == p[0])))
 
 
+# scipy's linear_sum_assignment, loaded by the first assignment solve
+_lsap = None
+_LSAP_NAME = "scipy.optimize._lsap"
+
+
+def _lsap_path() -> str | None:
+    """File of scipy's compiled assignment extension, found without
+    importing scipy; None when this scipy has no such file."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_lsap():
+    """scipy's linear_sum_assignment: loaded from the extension file alone
+    where there is one, else imported from scipy.optimize. Loading a
+    single-phase extension enters it in sys.modules, without its parent
+    packages, so the entry is taken out again unless it was there before."""
+    path = _lsap_path()
+    if path is None:
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    loaded = _LSAP_NAME in sys.modules
+    loader = importlib.machinery.ExtensionFileLoader(_LSAP_NAME, path)
+    spec = importlib.util.spec_from_file_location(_LSAP_NAME, path,
+                                                  loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    if not loaded:
+        sys.modules.pop(_LSAP_NAME, None)
+    return module.linear_sum_assignment
+
+
 def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of a minimum-cost assignment of a square cost."""
-    from scipy.optimize import linear_sum_assignment
-    return linear_sum_assignment(cost)
+    global _lsap
+    if _lsap is None:
+        _lsap = _load_lsap()
+    return _lsap(cost)
 
 
 def _initial_tree(cost: np.ndarray, p: np.ndarray, q: np.ndarray):

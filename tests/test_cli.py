@@ -580,6 +580,23 @@ def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--means", "inf,1;1,1"], "means"),
+    (["--means-file", "{big}"], "means"),
+    (["--means", "1,2;3,4", "--variance", "inf"], "variance"),
+])
+def test_non_finite_block_model_inputs_fail_before_drawing(argv, field,
+                                                           tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text("[[1e400, 1], [1, 1]]")
+    out = tmp_path / "g.json"
+    argv = [a.format(big=big) for a in argv]
+    assert main(["sbm-gen", "--block-sizes", "2,2", *argv,
+                 "--out", str(out)]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["sbm-gen"],
                                   ["sbm-experiment", "--runs", "1"]])
 def test_a_means_file_holding_an_object_fails_cleanly(argv, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gwnet import (GwnetError, SbmSpec, asymmetry_sweep, default_sbm_spec,
                    generate_sbm, sbm_compression_experiment,
                    support_size_sweep)
+from gwnet.experiments import _best_block_permutation
 
 from oracles import half_sample_block_means, relabeled_gap
 
@@ -23,6 +26,11 @@ def test_spec_validation():
         SbmSpec(block_sizes=(2,), means=[[1.0]], variance=-1.0)
     with pytest.raises(GwnetError):
         SbmSpec(block_sizes=(2,), means=[[1.0]], variance=float("nan"))
+    with pytest.raises(GwnetError, match="variance"):
+        SbmSpec(block_sizes=(2,), means=[[1.0]], variance=float("inf"))
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(GwnetError, match="means"):
+            SbmSpec(block_sizes=(2, 2), means=[[bad, 1.0], [1.0, 1.0]])
 
 
 def test_default_spec_shape_and_values():
@@ -115,6 +123,21 @@ def test_sbm_experiment_rejects_bad_counts_and_bounds(n_runs, bound):
     spec = SbmSpec(block_sizes=(2,), means=[[1.0]])
     with pytest.raises(GwnetError):
         sbm_compression_experiment(spec, n_runs=n_runs, bound=bound)
+
+
+def test_best_block_permutation_is_the_first_best_relabeling():
+    rng = np.random.default_rng(31)
+    # B = 8 spans several scoring chunks; {0, 1, 2} entries make ties
+    for B in [1, 2, 3, 4, 5, 8] + [2, 3, 4, 5] * 20:
+        target = rng.integers(0, 3, (B, B)).astype(float)
+        recovered = (rng.integers(0, 3, (B, B)).astype(float) if B < 6
+                     else target[::-1, ::-1] + rng.random((B, B)))
+        perm, dev = _best_block_permutation(recovered, target)
+        assert dev == relabeled_gap(recovered, target)
+        first = next(
+            p for p in itertools.permutations(range(B))
+            if np.max(np.abs(recovered[np.ix_(p, p)] - target)) == dev)
+        assert perm == first
 
 
 # ------------------------------------------------------------------ sweeps

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gwnet import InfeasibleMarginalsError, GwnetError, OtProblem, \
     solve_linear_ot
+from gwnet import linear_ot
 from gwnet.linear_ot import _network_simplex
 
 from oracles import brute_min_ot, highs_min_ot
@@ -130,20 +131,31 @@ def test_nearly_uniform_square_takes_the_lp_path(monkeypatch):
     assert val == pytest.approx(highs_min_ot(cost, p, q), rel=1e-9)
 
 
-def test_scipy_optimize_loads_on_the_first_assignment_solve():
+def test_assignment_solves_leave_scipy_optimize_unloaded(tmp_path):
     tests = Path(__file__).resolve().parent
+    x, y = tmp_path / "x.json", tmp_path / "y.json"
     code = textwrap.dedent(f"""
         import sys
         sys.path[:0] = [{str(tests.parent / "src")!r}, {str(tests)!r}]
         import numpy as np
         import gwnet, gwnet.cli
-        from gwnet import OtProblem, solve_linear_ot
-        assert "scipy.optimize" not in sys.modules, "loaded on import"
+        from gwnet import (MeasureNetwork, OtProblem, solve_linear_ot,
+                           write_network)
+
+        def optimize_modules():
+            return [m for m in sys.modules if m.startswith("scipy.optimize")]
+
         p = np.full(5, 0.2)
         cost = np.random.default_rng(3).standard_normal((5, 5))
         C = solve_linear_ot(OtProblem(cost, p, p))
         val = float((cost * C.matrix).sum())
-        assert "scipy.optimize" in sys.modules, "not loaded by the solve"
+        assert not optimize_modules(), "loaded by the solve"
+        rng = np.random.default_rng(4)
+        for path in ({str(x)!r}, {str(y)!r}):
+            write_network(MeasureNetwork(rng.standard_normal((6, 6)),
+                                         np.full(6, 1 / 6)), path)
+        assert gwnet.cli.main(["distance", {str(x)!r}, {str(y)!r}]) == 0
+        assert not optimize_modules(), "loaded by distance"
         # the oracle imports scipy.optimize itself, so it comes last
         from oracles import highs_min_ot
         assert abs(val - highs_min_ot(cost, p, p)) <= 1e-9 * abs(val)
@@ -151,6 +163,37 @@ def test_scipy_optimize_loads_on_the_first_assignment_solve():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _assignment_costs():
+    """Seeded square costs for n = 1..40: normal draws, and integer draws
+    in {0, 1, 2} that make many assignments tie."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 41):
+        yield rng.standard_normal((n, n))
+        yield rng.integers(0, 3, (n, n)).astype(float)
+
+
+def test_loaded_kernel_matches_scipy_optimize():
+    from scipy.optimize import linear_sum_assignment
+    kernel = linear_ot._load_lsap()
+    for cost in _assignment_costs():
+        rows, cols = kernel(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+
+
+def test_kernel_falls_back_to_scipy_optimize(monkeypatch):
+    from scipy.optimize import linear_sum_assignment
+    monkeypatch.setattr(linear_ot, "_lsap_path", lambda: None)
+    monkeypatch.setattr(linear_ot, "_lsap", None)
+    for cost in _assignment_costs():
+        rows, cols = linear_ot._assign(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+    assert linear_ot._lsap is linear_sum_assignment
 
 
 def test_marginals_exact_to_machine_precision():
