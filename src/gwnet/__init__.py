@@ -14,7 +14,7 @@ from .networks import (Coupling, DimensionMismatchError, GwnetError,
                        read_network, write_network)
 from .linear_ot import InfeasibleMarginalsError, OtProblem, solve_linear_ot
 from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
-                 gw_distance, northwest_corner, random_vertex, solve_gw)
+                 gw_distance, random_vertex, solve_gw)
 from .alignment import AlignedPair, aligned_distance, blow_up, support_size
 from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
                         geodesic_aligned)
@@ -45,7 +45,7 @@ __all__ = [
     "frechet_gradient", "frechet_mean", "generate_sbm",
     "geodesic_aligned", "gw_distance",
     "log_map", "network_from_dict", "network_to_dict",
-    "northwest_corner", "project_along_component", "random_vertex",
+    "project_along_component", "random_vertex",
     "read_network", "sbm_compression_experiment",
     "solve_gw", "solve_linear_ot", "support_size",
     "support_size_sweep", "tangent_pca",

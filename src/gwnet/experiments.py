@@ -17,6 +17,9 @@ from .gw import GwParams, solve_gw
 from .alignment import support_size
 from .frechet import (FrechetParams, compressed_average, frechet_mean)
 
+# B! relabelings are scored twice a run: 0.5 s at B = 9, 10 minutes at 12
+MAX_EXPERIMENT_BLOCKS = 9
+
 
 @dataclass(frozen=True)
 class SbmSpec:
@@ -143,12 +146,15 @@ def sbm_compression_experiment(spec: SbmSpec, n_runs: int = 20,
     `passed` are measured against means/2, so they include the draw's
     sampling noise: with blocks of size s and variance v every recovered
     entry carries a standard error of sqrt(v) / s / 2, about 0.056 at the
-    default spec.
+    default spec. More than MAX_EXPERIMENT_BLOCKS blocks raise GwnetError
+    before anything is drawn.
     """
     n_runs = check_count(n_runs, "n_runs", 1)
     if not (isinstance(bound, numbers.Real) and bound >= 0):
         raise GwnetError(f"bound must be a number >= 0, got {bound!r}")
     B = spec.num_blocks
+    if B > MAX_EXPERIMENT_BLOCKS:
+        raise GwnetError(f"at most {MAX_EXPERIMENT_BLOCKS} blocks, got {B}")
     target = spec.means / 2.0
     zeros = MeasureNetwork(np.zeros((B, B)), np.full(B, 1.0 / B))
     runs = []

@@ -117,34 +117,12 @@ def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
     return _distortion(*_objective(X, Y, C))
 
 
-def northwest_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Northwest-corner vertex of the transportation polytope."""
-    n, m = len(p), len(q)
-    out = np.zeros((n, m))
-    rp = p.astype(float).copy()
-    cq = q.astype(float).copy()
-    i = j = 0
-    while i < n and j < m:
-        t = min(rp[i], cq[j])
-        out[i, j] = t
-        rp[i] -= t
-        cq[j] -= t
-        # on ties advance the row; the column is finished by a later row
-        if rp[i] <= cq[j]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def random_vertex(p: np.ndarray, q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random vertex: northwest corner under a random node order on both sides."""
-    sigma = rng.permutation(len(p))
-    tau = rng.permutation(len(q))
-    nw = northwest_corner(p[sigma], q[tau])
-    out = np.zeros_like(nw)
-    out[np.ix_(sigma, tau)] = nw
-    return out
+    """Random vertex of the coupling polytope of (p, q), read-only: the
+    exact transport optimum of a cost drawn uniformly from [0, 1) by rng,
+    so a scaled permutation on the assignment path and at most n + m - 1
+    entries from the simplex."""
+    return solve_linear_ot(OtProblem(rng.random((len(p), len(q))), p, q)).matrix
 
 
 def _initial_couplings(X, Y, params: GwParams) -> list[np.ndarray]:
@@ -152,7 +130,9 @@ def _initial_couplings(X, Y, params: GwParams) -> list[np.ndarray]:
     if params.given is None:
         starts = [np.outer(p, q)]
     else:
-        starts = [Coupling(params.given, p, q).matrix]
+        # copied in C order like every other start: products round by layout
+        given = np.array(params.given, dtype=float, order="C")
+        starts = [Coupling._adopt(given, p, q).matrix]
     if params.restarts:
         rng = np.random.default_rng(params.rng_seed)
         starts += [random_vertex(p, q, rng) for _ in range(params.restarts)]
@@ -188,8 +168,7 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
     assignment = _is_assignment(p, q)
 
     best = None
-    for C0 in _initial_couplings(X, Y, params):
-        C = C0.copy()
+    for C in _initial_couplings(X, Y, params):
         J = _objective(X, Y, C)[0]
         trace = [J]
         G = -2.0 * _cross(A, B, C)     # without the marginal terms

@@ -121,6 +121,10 @@ def test_removed_names_stay_removed():
         "X", "Y", "coupling"]
     assert list(inspect.signature(gwnet.geodesic_aligned).parameters) == [
         "X", "Y", "params"]
+    # restart vertices come from the transport solver
+    assert not hasattr(gwnet, "northwest_corner")
+    assert "northwest_corner" not in gwnet.__all__
+    assert not hasattr(gwnet.gw, "northwest_corner")
     # the mean's gradient is a plain matrix on FrechetGradient.base
     assert not hasattr(gwnet.frechet, "TangentVector")
     for module in (gwnet.alignment, gwnet.tangent):

@@ -597,6 +597,18 @@ def test_non_finite_block_model_inputs_fail_before_drawing(argv, field,
     assert not out.exists()
 
 
+def test_sbm_experiment_takes_at_most_nine_blocks(tmp_path, capsys):
+    sizes = ["--block-sizes", ",".join(["1"] * 10),
+             "--means", ";".join([",".join(["0"] * 10)] * 10)]
+    out = tmp_path / "r.json"
+    assert main(["sbm-experiment", *sizes, "--out", str(out)]) == 1
+    assert "error: at most 9 blocks, got 10" in capsys.readouterr().err
+    assert not out.exists()
+    # drawing a network has no such bound
+    assert main(["sbm-gen", *sizes, "--out", str(out)]) == 0
+    assert read_network(out).size == 10
+
+
 @pytest.mark.parametrize("argv", [["sbm-gen"],
                                   ["sbm-experiment", "--runs", "1"]])
 def test_a_means_file_holding_an_object_fails_cleanly(argv, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from gwnet import (GwnetError, SbmSpec, asymmetry_sweep, default_sbm_spec,
                    generate_sbm, sbm_compression_experiment,
                    support_size_sweep)
+from gwnet import experiments
 from gwnet.experiments import _best_block_permutation
 
 from oracles import half_sample_block_means, relabeled_gap
@@ -123,6 +124,25 @@ def test_sbm_experiment_rejects_bad_counts_and_bounds(n_runs, bound):
     spec = SbmSpec(block_sizes=(2,), means=[[1.0]])
     with pytest.raises(GwnetError):
         sbm_compression_experiment(spec, n_runs=n_runs, bound=bound)
+
+
+def test_sbm_experiment_rejects_more_than_nine_blocks_before_drawing(
+        monkeypatch):
+    drawn = []
+
+    def draw(spec):
+        drawn.append(spec.num_blocks)
+        raise RuntimeError("drawn")
+
+    monkeypatch.setattr(experiments, "generate_sbm", draw)
+    spec = SbmSpec(block_sizes=(1,) * 10, means=np.zeros((10, 10)))
+    with pytest.raises(GwnetError, match="at most 9 blocks, got 10"):
+        sbm_compression_experiment(spec, n_runs=1)
+    assert drawn == []
+    spec = SbmSpec(block_sizes=(1,) * 9, means=np.zeros((9, 9)))
+    with pytest.raises(RuntimeError, match="drawn"):
+        sbm_compression_experiment(spec, n_runs=1)
+    assert drawn == [9]
 
 
 def test_best_block_permutation_is_the_first_best_relabeling():

@@ -3,7 +3,7 @@ import pytest
 
 from gwnet import (Coupling, GwParams, GwnetError, MeasureNetwork,
                    NegativeRadicandError, distortion_matrix, gw_distance,
-                   northwest_corner, random_vertex, solve_gw, support_size)
+                   random_vertex, solve_gw, support_size)
 from gwnet import gw, linear_ot
 from gwnet.gw import _cross, _line_step, _objective
 
@@ -142,28 +142,17 @@ def test_operator_adjoint_pairing():
 
 # ------------------------------------------------------- polytope vertices
 
-def test_northwest_corner_uniform_is_diagonal():
-    p = np.full(4, 0.25)
-    assert np.array_equal(northwest_corner(p, p), np.diag(p))
-
-
-def test_northwest_corner_general_marginals():
-    p = np.array([0.3, 0.7])
-    q = np.array([0.2, 0.3, 0.5])
-    C = northwest_corner(p, q)
-    assert np.abs(C.sum(1) - p).max() < 1e-15
-    assert np.abs(C.sum(0) - q).max() < 1e-15
-    assert (C > 1e-15).sum() <= 4
-
-
 def test_random_vertex_is_seeded_and_feasible():
     p = np.array([0.3, 0.3, 0.4])
     q = np.array([0.25, 0.25, 0.5])
     a = random_vertex(p, q, np.random.default_rng(9))
     b = random_vertex(p, q, np.random.default_rng(9))
-    c = random_vertex(p, q, np.random.default_rng(10))
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    # two seeds can draw the same vertex of this small polytope (seeds 9
+    # and 10 do); seeds 9-18 draw five different ones
+    drawn = {random_vertex(p, q, np.random.default_rng(s)).tobytes()
+             for s in range(9, 19)}
+    assert len(drawn) > 1
     assert np.abs(a.sum(1) - p).max() < 1e-15
     assert (a > 1e-15).sum() <= 5
 

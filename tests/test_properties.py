@@ -1,5 +1,5 @@
-"""Randomized invariants of the distortion, the Frank-Wolfe solve and the
-log and exp maps.
+"""Randomized invariants of the restart vertices, the distortion, the
+Frank-Wolfe solve and the log and exp maps.
 
 Networks have 1-12 nodes, asymmetric weights of any sign (also constant
 and 1e8-scale), and uniform or Dirichlet masses down to 1e-12. An input
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gwnet import (GwParams, GwnetError, MeasureNetwork, distortion_matrix,
                    exp_map, log_map, random_vertex, solve_gw)
+from gwnet.networks import MARGINAL_TOL
 from conftest import measure_networks
 from oracles import gw_objective
 
@@ -34,6 +35,29 @@ def _coupled_pairs(draw):
 
 def _relabel(net: MeasureNetwork, perm) -> MeasureNetwork:
     return MeasureNetwork(net.omega[np.ix_(perm, perm)], net.mu[perm])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(measure_networks(), st.one_of(st.none(), measure_networks()),
+       st.integers(0, 2**32 - 1))
+def test_property_random_vertex_is_a_seeded_vertex(X, Y, seed):
+    # Y None: the same measure on both sides, so a uniform X gives the
+    # assignment path
+    p, q = X.mu, (X if Y is None else Y).mu
+    n, m = len(p), len(q)
+    V = random_vertex(p, q, np.random.default_rng(seed))
+    assert not V.flags.writeable
+    assert V.min() >= 0
+    assert np.abs(V.sum(axis=1) - p).max() <= MARGINAL_TOL
+    assert np.abs(V.sum(axis=0) - q).max() <= MARGINAL_TOL
+    assert np.count_nonzero(V) <= n + m - 1
+    if n == m and np.all(p == p[0]) and np.all(q == p[0]):
+        # a scaled permutation: one entry p[0] in each row and column
+        support = V != 0
+        assert (support.sum(axis=0) == 1).all()
+        assert (support.sum(axis=1) == 1).all()
+        assert (V[support] == p[0]).all()
+    assert np.array_equal(V, random_vertex(p, q, np.random.default_rng(seed)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
