@@ -189,11 +189,3 @@ def _expansion_matrix(index, n: int, pair: AlignedPair) -> np.ndarray:
     mat[index, np.arange(pair.size)] = pair.mu_hat
     return mat
 
-
-def _block_average(pair: AlignedPair) -> np.ndarray:
-    """omega_yhat - omega_xhat taken back to the X nodes: entry (i, i') is
-    the plain mean over the u_i * u_i' copy pairs of X nodes i and i',
-    where u counts the copies of each X node."""
-    u = np.bincount(pair.source_index)
-    P = (np.arange(len(u))[:, None] == pair.source_index) / u[:, None]
-    return P @ (pair.omega_yhat - pair.omega_xhat) @ P.T

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import GwnetError, MeasureNetwork, check_count
+from .networks import (DimensionMismatchError, GwnetError, MeasureNetwork,
+                       check_count)
 from .gw import GwParams
 from .frechet import FrechetParams, frechet_gradient
 from .tangent import exp_map, TangentVector
@@ -115,6 +116,10 @@ def project_along_component(result: PcaResult, base: MeasureNetwork,
         raise IndexError(f"component {component_index} out of range "
                          f"(have {result.num_components})")
     n = base.size
+    if result.mean.size != n * n:
+        raise DimensionMismatchError(
+            f"base has {n} nodes, but the dataset rows have "
+            f"{result.mean.size} entries, not {n * n}")
     vec = result.mean + s * result.components[component_index]
     v = TangentVector(base, vec.reshape(n, n))
     return exp_map(v)

@@ -1,8 +1,9 @@
 """Command line surface. Thin adapters only: every command parses flags,
 calls the library, and serializes the result.
 
-Exit codes: 0 success, 1 validation or input error, 2 when a solver did
-not converge (outputs are still written, flagged in the payload).
+Exit codes: 0 success, 1 validation or input error, 2 when the solve of
+`distance` or the iteration of `mean` did not converge (outputs are still
+written, flagged in the payload); no other command exits 2.
 """
 from __future__ import annotations
 

@@ -51,6 +51,7 @@ class SbmSpec:
         if not 0 <= self.variance < np.inf:
             raise GwnetError(
                 f"variance must be finite and nonnegative, got {self.variance}")
+        check_count(self.rng_seed, "rng_seed", 0)
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "means", means)
 
@@ -150,6 +151,7 @@ def sbm_compression_experiment(spec: SbmSpec, n_runs: int = 20,
     before anything is drawn.
     """
     n_runs = check_count(n_runs, "n_runs", 1)
+    rng_seed = check_count(rng_seed, "rng_seed", 0)
     if not (isinstance(bound, numbers.Real) and bound >= 0):
         raise GwnetError(f"bound must be a number >= 0, got {bound!r}")
     B = spec.num_blocks
@@ -191,7 +193,7 @@ def support_size_sweep(sizes, trials: int, rng_seed: int = 0) -> list[dict]:
     """
     sizes = [check_count(n, "size", 1) for n in sizes]
     trials = check_count(trials, "trials", 1)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_count(rng_seed, "rng_seed", 0))
     rows = []
     for n in sizes:
         mu = np.full(n, 1.0 / n)
@@ -220,6 +222,7 @@ def asymmetry_sweep(mode: str, alphas, n_seeds: int,
     """
     if mode not in ("diagonal", "antisymmetric"):
         raise GwnetError(f"unknown mode {mode!r}")
+    rng_seed = check_count(rng_seed, "rng_seed", 0)
     rng = np.random.default_rng(rng_seed)
     n1, n2 = (check_count(n, "size", 1) for n in sizes[:2])
     n_seeds = check_count(n_seeds, "n_seeds", 1)

@@ -15,10 +15,13 @@ the base, the one stop it reports as converged, or at its cap. Every solve
 is warm-started from the member's coupling of the previous iteration.
 Tangent PCA (analysis.vectorize_at_base) takes its data from the same step.
 
-The compressed variant keeps the base size fixed: each member's aligned
-difference is block-averaged over the copies of each base node before it
-is used. One compressed step toward a single network is its fixed-size
-compressed representative (compressed_average).
+The compressed variant keeps the base size fixed: member k's target is
+T_k = (C_k omega_k C_k^T) / (mu mu^T), entrywise, for its coupling C_k
+from the base of measure mu. That is its aligned weights averaged over the
+copies of each base node, mass-weighted, with no blow-up built; a step of
+TAU is then the square-loss barycenter update of Peyre, Cuturi and
+Solomon (ICML 2016) with exact couplings. One compressed step toward a
+single network is its compressed representative (compressed_average).
 """
 from __future__ import annotations
 
@@ -29,8 +32,7 @@ import numpy as np
 from .networks import (DimensionMismatchError, GwnetError, MeasureNetwork,
                        check_count)
 from .gw import GwParams, solve_gw
-from .alignment import (_block_average, _expansion_matrix, aligned_distance,
-                        blow_up, glue)
+from .alignment import _expansion_matrix, aligned_distance, glue
 
 
 # A step of TAU lands exactly on the entrywise mean of the aligned members
@@ -48,10 +50,10 @@ class FrechetParams:
     """Knobs for the mean iteration.
 
     The iteration stops at the first stationary iterate, and after
-    max_iters steps in any case. compress "to_seed_size" block-averages
-    every log map down to the seed size so the base never grows. gw
-    configures every distance solve, except that a solve with a warm start
-    (every one after a member's first) runs no restarts.
+    max_iters steps in any case. compress "to_seed_size" averages each
+    member over the copies of each base node, mass-weighted, so the base
+    never grows. gw configures every distance solve, except that a solve
+    with a warm start (every one after a member's first) runs no restarts.
     """
 
     max_iters: int = 100
@@ -102,34 +104,34 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
     Each member is solved against X once, from its warm start if given (one
     coupling from X to each member). Uncompressed, the couplings are glued
     into one blow-up of X, the returned base, on which each of them is
-    diagonal; targets are the members' aligned weights there, and couplings
-    their diagonal couplings from that base. Compressed, each member is
-    blown up on its own and its aligned difference block-averaged back to
-    X, which stays the base (with S = [Y] this is the step that
-    compressed_average takes); couplings are the solved ones. Either way the
-    couplings are the warm starts of a next call at the base, and the loss
-    is the mean squared distance the aligned pairs certify. The gradient
-    is zero exactly when the base weights are the entrywise mean of the
-    targets.
+    diagonal; targets are the members' aligned weights there, couplings
+    their diagonal couplings from that base, and the loss the mean squared
+    distance the aligned pairs certify. Compressed, X stays the base, each
+    target is the mass-weighted copy average (C omega_Y C^T) / (mu_X mu_X^T)
+    (with S = [Y] this is compressed_average's step), couplings are the
+    solved ones and the loss the mean squared distance the solves certify.
+    Either way the couplings are the warm starts of a next call at the
+    base, and the gradient is zero exactly when the base weights are the
+    entrywise mean of the targets.
     """
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
-    solved = [solve_gw(X, Y, _warm_params(params.gw, start))[0]
+    solved = [solve_gw(X, Y, _warm_params(params.gw, start))
               for Y, start in zip(S, _check_warm(warm, X, S))]
     if params.compress == "to_seed_size":
-        pairs = [blow_up(X, Y, C) for Y, C in zip(S, solved)]
-        vs = [_block_average(pair) for pair in pairs]
-        base, targets = X, [X.omega + v for v in vs]
-        g = -2.0 * np.mean(vs, axis=0)
-        couplings = [C.matrix for C in solved]
+        base, couplings = X, [C.matrix for C, _ in solved]
+        mass = np.outer(X.mu, X.mu)
+        targets = [C @ Y.omega @ C.T / mass for Y, C in zip(S, couplings)]
+        distances = [report.gw_distance for _, report in solved]
     else:
-        pairs = glue(X, S, solved)
+        pairs = glue(X, S, [C for C, _ in solved])
         base, targets = pairs[0].base_network(), [p.omega_yhat for p in pairs]
-        g = 2.0 * (base.omega - np.mean(targets, axis=0))
         couplings = [_expansion_matrix(p.target_index, Y.size, p).T
                      for Y, p in zip(S, pairs)]
-    loss = float(np.mean([aligned_distance(p) ** 2 for p in pairs]))
+        distances = [aligned_distance(p) for p in pairs]
+    g = 2.0 * (base.omega - np.mean(targets, axis=0))
+    loss = float(np.mean([d ** 2 for d in distances]))
     return FrechetGradient(gradient=g, base=base, targets=tuple(targets),
                            loss=loss, couplings=tuple(couplings))
 
@@ -200,11 +202,12 @@ def compressed_average(X: MeasureNetwork, Y: MeasureNetwork,
                        params: FrechetParams | None = None) -> MeasureNetwork:
     """Average of X and the compressed representative of Y, at X's size.
 
-    The compressed representative is omega_X + v, where v is the aligned
-    difference of Y and X block-averaged over the copies of each X node.
-    The average has weights omega_X + v/2 and measure mu_X. The compressed
-    frechet_gradient at X with S = [Y] is g = -2 v, so those weights are
-    omega_X - (TAU/2) g. Y is solved against X once, with params.gw.
+    The compressed representative is T = (C omega_Y C^T) / (mu_X mu_X^T),
+    the mass-weighted average of Y's aligned weights over the copies of
+    each X node, for the coupling C of one solve of Y against X with
+    params.gw. The average has weights (omega_X + T) / 2 and measure mu_X:
+    the compressed frechet_gradient at X with S = [Y] is
+    g = 2 (omega_X - T), and those weights are omega_X - (TAU/2) g.
     """
     params = replace(params or FrechetParams(), compress="to_seed_size")
     g = frechet_gradient([Y], X, params).gradient

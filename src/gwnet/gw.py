@@ -63,6 +63,7 @@ class GwParams:
     def __post_init__(self):
         check_count(self.max_outer_iters, "max_outer_iters", 1)
         check_count(self.restarts, "restarts", 0)
+        check_count(self.rng_seed, "rng_seed", 0)
 
 
 def _check_shapes(X: MeasureNetwork, Y: MeasureNetwork, C: np.ndarray):

@@ -8,8 +8,8 @@ product space, and the PCA oracle is a dense decomposition in rescaled
 coordinates. Slow on purpose; keep sizes tiny. Only a few helpers touch
 gwnet, for its public types and errors, so that tests can use them where
 the library's own results go: the naive geodesic, the couplings of a
-network with its expansion, and the Frechet loss from cold distance
-solves.
+network with its expansion, the compressed target as a block average of
+an explicit blow-up, and the Frechet loss from cold distance solves.
 """
 from __future__ import annotations
 
@@ -261,6 +261,23 @@ def expansion_coupling_source(X, pair) -> Coupling:
 def expansion_coupling_target(Y, pair) -> Coupling:
     """Coupling of Y with the expanded target of an aligned pair."""
     return _copy_coupling(Y, pair.target_index, pair.mu_hat)
+
+
+def compressed_target(X, Y, C) -> np.ndarray:
+    """Y's weights on the blow-up of the coupling C of X and Y, averaged
+    over the copy pairs of each pair of X nodes, weighted by the products
+    of the copies' masses. Every nonzero entry (i, j) of C is one copy of
+    X node i that carries mass C[i, j] and the weights of Y node j."""
+    C = np.asarray(C, dtype=float)
+    copies = [(i, j, C[i, j]) for i in range(C.shape[0])
+              for j in range(C.shape[1]) if C[i, j] > 0]
+    total = np.zeros((X.size, X.size))
+    mass = np.zeros((X.size, X.size))
+    for i, j, a in copies:
+        for k, l, b in copies:
+            total[i, k] += a * b * Y.omega[j, l]
+            mass[i, k] += a * b
+    return total / mass
 
 
 def frechet_loss(S, Z, params=None) -> float:

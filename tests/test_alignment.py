@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gwnet import (AlignedPair, Coupling, GwParams, GwnetError,
+from gwnet import (AlignedPair, Coupling, FrechetParams, GwParams, GwnetError,
                    MeasureNetwork, aligned_distance, blow_up,
-                   distortion_matrix, geodesic_aligned, gw_distance, log_map,
-                   random_vertex, solve_gw, support_size)
-from gwnet.alignment import _block_average, _support_mask
+                   distortion_matrix, frechet_gradient, geodesic_aligned,
+                   gw_distance, log_map, random_vertex, solve_gw,
+                   support_size)
+from gwnet.alignment import _support_mask
 from conftest import random_network
-from oracles import expansion_coupling_source, expansion_coupling_target
+from oracles import (compressed_target, expansion_coupling_source,
+                     expansion_coupling_target)
 
 
 # ---------------------------------------------------------- support rule
@@ -167,9 +169,12 @@ def test_property_blow_up_keeps_support_marginals_and_distortion(case):
 def test_block_average_is_the_block_mean(two_swap):
     X = MeasureNetwork(np.array([[0.0]]), np.array([1.0]))
     Y = MeasureNetwork(np.arange(4.0).reshape(2, 2), two_swap.mu)
-    pair = blow_up(X, Y, Coupling(np.array([[0.5, 0.5]]), X.mu, Y.mu))
-    # the one node's block is all 2 x 2 copy pairs
-    assert np.array_equal(_block_average(pair), [[1.5]])
+    C = np.array([[0.5, 0.5]])
+    params = FrechetParams(compress="to_seed_size", gw=GwParams(given=C))
+    # the one node's block is all 2 x 2 copy pairs, of equal mass
+    assert np.array_equal(frechet_gradient([Y], X, params).targets[0],
+                          [[1.5]])
+    assert np.array_equal(compressed_target(X, Y, C), [[1.5]])
 
 
 def test_expansion_couplings_certify_zero_distance():

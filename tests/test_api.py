@@ -85,6 +85,9 @@ def test_removed_names_stay_removed():
         assert name not in gwnet.__all__, name
         assert not hasattr(module, name), name
     assert not hasattr(gwnet.alignment, "_square")
+    # the compressed step takes its targets in closed form, not from a
+    # blow-up
+    assert not hasattr(gwnet.alignment, "_block_average")
     # settings and outputs that no program set or read
     assert [f.name for f in fields(gwnet.MeasureNetwork)] == ["omega", "mu"]
     for func, name in ((gwnet.frechet_mean, "seed_rng"),

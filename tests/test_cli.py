@@ -580,6 +580,25 @@ def test_malformed_numbers_fail_cleanly(argv, example_files, tmp_path,
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "{x}", "{y}", "--restarts", "1"],
+    ["sbm-gen", "--block-sizes", "2,2", "--means", "1,2;3,4"],
+    ["support-sweep", "--sizes", "3", "--trials", "1"],
+    ["asym-sweep", "--sizes", "3", "--n-seeds", "1"],
+    ["mean", "{x}", "{y}", "--seed-size", "2"],
+])
+def test_a_negative_seed_fails_cleanly(argv, example_files, tmp_path,
+                                       capsys):
+    x, y = example_files
+    argv = [a.format(x=x, y=y) for a in argv]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: rng_seed must be at least 0, got -1\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, field", [
     (["--means", "inf,1;1,1"], "means"),
     (["--means-file", "{big}"], "means"),

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from gwnet import (GwnetError, SbmSpec, asymmetry_sweep, default_sbm_spec,
-                   generate_sbm, sbm_compression_experiment,
+from gwnet import (GwParams, GwnetError, SbmSpec, asymmetry_sweep,
+                   default_sbm_spec, generate_sbm, sbm_compression_experiment,
                    support_size_sweep)
 from gwnet import experiments
 from gwnet.experiments import _best_block_permutation
@@ -143,6 +143,20 @@ def test_sbm_experiment_rejects_more_than_nine_blocks_before_drawing(
     with pytest.raises(RuntimeError, match="drawn"):
         sbm_compression_experiment(spec, n_runs=1)
     assert drawn == [9]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GwParams(rng_seed=-1),
+    lambda: SbmSpec(block_sizes=(2,), means=[[1.0]], rng_seed=-1),
+    lambda: support_size_sweep([3], 1, rng_seed=-1),
+    lambda: asymmetry_sweep("diagonal", (0.5,), 1, rng_seed=-1),
+    lambda: sbm_compression_experiment(
+        SbmSpec(block_sizes=(2,), means=[[1.0]]), n_runs=1, rng_seed=-1),
+])
+def test_a_negative_seed_is_refused_before_drawing(call):
+    # numpy's seeding would raise a bare ValueError at the first draw
+    with pytest.raises(GwnetError, match="rng_seed must be at least 0"):
+        call()
 
 
 def test_best_block_permutation_is_the_first_best_relabeling():

@@ -5,14 +5,14 @@ from hypothesis import given, settings, strategies as st
 import gwnet.frechet
 from gwnet import (Coupling, DimensionMismatchError, FrechetGradient,
                    FrechetParams, GwParams, GwnetError, MeasureNetwork,
-                   TangentVector, blow_up, compressed_average,
+                   TangentVector, compressed_average, distortion_matrix,
                    frechet_gradient, frechet_mean, gw_distance,
-                   read_network, solve_gw, support_size, vectorize_at_base,
-                   write_network)
-from gwnet.alignment import _block_average, glue
+                   random_vertex, read_network, solve_gw, support_size,
+                   vectorize_at_base, write_network)
+from gwnet.alignment import glue
 
 from conftest import diagonal_start, random_network, uniform_network
-from oracles import frechet_loss, inner_product
+from oracles import compressed_target, frechet_loss, inner_product
 
 
 def _example_pair(one_node, two_swap):
@@ -341,14 +341,18 @@ def test_mean_of_read_back_members_is_the_same_mean(tmp_path):
 
 # ------------------------------------------------------------- compression
 
+def _compressed(given=None, **gw) -> FrechetParams:
+    return FrechetParams(compress="to_seed_size",
+                         gw=GwParams(given=given, **gw))
+
+
 def test_compress_log_of_the_one_node_pair(two_swap):
     X = MeasureNetwork(np.array([[0.0]]), np.array([1.0]))
-    C = Coupling(np.array([[0.5, 0.5]]), X.mu, two_swap.mu)
-    v = _block_average(blow_up(X, two_swap, C))
+    C = np.array([[0.5, 0.5]])
+    target = frechet_gradient([two_swap], X, _compressed(C)).targets[0]
     # the aligned difference [[0,1],[1,0]] block-averages to 0.5
-    assert np.array_equal(v, [[0.5]])
-    avg = compressed_average(
-        X, two_swap, FrechetParams(gw=GwParams(given=C.matrix)))
+    assert np.array_equal(target - X.omega, [[0.5]])
+    avg = compressed_average(X, two_swap, _compressed(C))
     assert np.array_equal(avg.omega, [[0.25]])
     assert avg.size == 1
 
@@ -362,9 +366,62 @@ def test_compress_log_recovers_block_structure_exactly():
     Y = MeasureNetwork(M[np.ix_(src, src)], np.full(6, 1 / 6))
     mat = np.zeros((3, 6))
     mat[src, np.arange(6)] = 1 / 6
-    v = _block_average(blow_up(X, Y, Coupling(mat, X.mu, Y.mu)))
-    # within each block the difference is constant, so averaging is exact
-    assert np.allclose(v, M - X0, atol=1e-15)
+    grad = frechet_gradient([Y], X, _compressed(mat))
+    # the solve stays on the block coupling, where the difference is
+    # constant within each block, so averaging is exact
+    assert np.array_equal(grad.couplings[0], mat)
+    assert np.allclose(grad.targets[0] - X0, M - X0, atol=1e-15)
+
+
+def test_compressed_target_weights_the_copies_by_mass():
+    # the one node has copies of masses 1/4 and 3/4; the plain mean over
+    # its four copy pairs would give 0.5
+    X = MeasureNetwork(np.array([[0.0]]), np.array([1.0]))
+    Y = MeasureNetwork(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                       np.array([0.25, 0.75]))
+    C = np.array([[0.25, 0.75]])
+    assert np.array_equal(
+        frechet_gradient([Y], X, _compressed(C)).targets[0], [[0.375]])
+    assert np.array_equal(compressed_average(X, Y, _compressed(C)).omega,
+                          [[0.1875]])
+
+
+@st.composite
+def _compressed_cases(draw):
+    """A base and 1-3 members of 1-8 nodes, with standard normal weights
+    and uniform or Dirichlet masses; each solve starts from the product
+    coupling or a random vertex and runs 1-30 FW steps, so the solved
+    couplings are vertices or interior."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dirichlet = draw(st.booleans())
+
+    def network():
+        n = draw(st.integers(1, 8))
+        mu = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+        return MeasureNetwork(rng.standard_normal((n, n)), mu)
+
+    X = network()
+    S = [network() for _ in range(draw(st.integers(1, 3)))]
+    warm = ([random_vertex(X.mu, Y.mu, rng) for Y in S]
+            if draw(st.booleans()) else None)
+    return X, S, warm, draw(st.integers(1, 30))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_compressed_cases())
+def test_property_compressed_targets_are_weighted_block_averages(case):
+    X, S, warm, cap = case
+    grad = frechet_gradient(S, X, _compressed(max_outer_iters=cap), warm)
+    assert grad.base is X
+    for Y, C, T in zip(S, grad.couplings, grad.targets):
+        expected = compressed_target(X, Y, C)
+        assert np.abs(T - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(grad.gradient,
+                          2.0 * (X.omega - np.mean(grad.targets, axis=0)))
+    # the loss is the mean squared distance the solves certify
+    half = [distortion_matrix(X, Y, C) / 2 for Y, C in zip(S, grad.couplings)]
+    assert grad.loss == pytest.approx(np.mean(np.square(half)), rel=1e-9,
+                                      abs=1e-15)
 
 
 def test_compressed_mean_keeps_the_seed_size():
