@@ -7,17 +7,14 @@ into weighted copies, walks geodesics, takes log/exp maps into a common
 tangent space, averages collections by gradient descent, extracts principal
 directions, and compresses large networks onto small seeds.
 """
-from .networks import (Coupling, DimensionMismatchError, GwnetError,
-                       MeasureNetwork, NonFiniteEntryError,
-                       NonProbabilityError, NonSquareError, ParseError,
-                       SolveReport, network_from_dict, network_to_dict,
-                       read_network, write_network)
-from .linear_ot import InfeasibleMarginalsError, OtProblem, solve_linear_ot
-from .gw import (GwParams, NegativeRadicandError, distortion_matrix,
-                 gw_distance, random_vertex, solve_gw)
+from .networks import (Coupling, GwnetError, MeasureNetwork, SolveReport,
+                       network_from_dict, network_to_dict, read_network,
+                       write_network)
+from .linear_ot import OtProblem, solve_linear_ot
+from .gw import (GwParams, distortion_matrix, gw_distance, random_vertex,
+                 solve_gw)
 from .alignment import AlignedPair, aligned_distance, blow_up, support_size
-from .geodesics import (GeodesicRep, OutOfRangeError, evaluate,
-                        geodesic_aligned)
+from .geodesics import GeodesicRep, evaluate, geodesic_aligned
 from .tangent import TangentVector, exp_map, log_map
 from .frechet import (FrechetGradient, FrechetParams, FrechetResult,
                       compressed_average, frechet_gradient, frechet_mean)
@@ -31,14 +28,10 @@ from .experiments import (SbmReport, SbmRun, SbmSpec, asymmetry_sweep,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedPair", "Coupling",
-    "DimensionMismatchError", "FrechetGradient", "FrechetParams",
-    "FrechetResult", "GeodesicRep", "GwParams",
-    "GwnetError", "InfeasibleMarginalsError", "MeasureNetwork",
-    "NegativeRadicandError", "NonFiniteEntryError", "NonProbabilityError",
-    "NonSquareError", "OtProblem", "OutOfRangeError", "ParseError",
-    "PcaResult", "SbmReport", "SbmRun", "SbmSpec", "SolveReport",
-    "TangentDataset", "TangentVector",
+    "AlignedPair", "Coupling", "FrechetGradient", "FrechetParams",
+    "FrechetResult", "GeodesicRep", "GwParams", "GwnetError",
+    "MeasureNetwork", "OtProblem", "PcaResult", "SbmReport", "SbmRun",
+    "SbmSpec", "SolveReport", "TangentDataset", "TangentVector",
     "aligned_distance", "asymmetry_sweep", "blow_up",
     "compressed_average", "default_sbm_spec",
     "distortion_matrix", "evaluate", "exp_map", "featurize",

@@ -24,8 +24,8 @@ import numpy as np
 from .networks import Coupling, MeasureNetwork, check_coupling
 from .gw import _as_matrix
 
-# entries below this fraction of the largest one are treated as zeros;
-# line searches leave dust that must not spawn spurious node copies
+# entries below this fraction of the largest one are treated as zeros:
+# Frank-Wolfe steps leave dust that must not spawn spurious node copies
 SUPPORT_REL_THRESHOLD = 1e-9
 
 
@@ -53,7 +53,8 @@ class AlignedPair:
     The diagonal coupling diag(mu_hat) is the transport map the source
     coupling expanded to; its distortion equals the source coupling's.
     source_index[k] and target_index[k] are the X node and the Y node
-    behind expanded node k; both are stored read-only.
+    behind expanded node k. Every array is made read-only in place, not
+    copied: the pairs glue makes share one omega_xhat and one mu_hat.
     """
 
     omega_xhat: np.ndarray
@@ -63,8 +64,9 @@ class AlignedPair:
     target_index: np.ndarray
 
     def __post_init__(self):
-        self.source_index.flags.writeable = False
-        self.target_index.flags.writeable = False
+        for a in (self.omega_xhat, self.omega_yhat, self.mu_hat,
+                  self.source_index, self.target_index):
+            a.flags.writeable = False
 
     @property
     def size(self) -> int:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import (DimensionMismatchError, GwnetError, MeasureNetwork,
-                       check_count)
+from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams
 from .frechet import FrechetParams, frechet_gradient
 from .tangent import exp_map, TangentVector
@@ -113,11 +112,11 @@ def project_along_component(result: PcaResult, base: MeasureNetwork,
     """Network at signed step s along one principal direction from the
     dataset mean."""
     if not 0 <= component_index < result.num_components:
-        raise IndexError(f"component {component_index} out of range "
+        raise GwnetError(f"component {component_index} out of range "
                          f"(have {result.num_components})")
     n = base.size
     if result.mean.size != n * n:
-        raise DimensionMismatchError(
+        raise GwnetError(
             f"base has {n} nodes, but the dataset rows have "
             f"{result.mean.size} entries, not {n * n}")
     vec = result.mean + s * result.components[component_index]

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import (GwnetError, MeasureNetwork, ParseError, _format_for,
-                       check_count, read_network, write_network)
+from .networks import (GwnetError, MeasureNetwork, _format_for, check_count,
+                       read_network, write_network)
 from .gw import GwParams, solve_gw
-from .geodesics import OutOfRangeError, evaluate, geodesic_aligned
+from .geodesics import evaluate, geodesic_aligned
 from .frechet import FrechetParams, compressed_average, frechet_mean
 from .analysis import (featurize, project_along_component, tangent_pca,
                        vectorize_at_base)
@@ -31,14 +31,14 @@ def _parse_numbers(text: str, kind=float) -> list:
     try:
         return [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ParseError(f"expected comma separated numbers, got {text!r}") \
+        raise GwnetError(f"expected comma separated numbers, got {text!r}") \
             from None
 
 
 def _parse_matrix(text: str) -> np.ndarray:
     rows = [_parse_numbers(row) for row in text.split(";")]
     if len({len(row) for row in rows}) > 1:
-        raise ParseError(f"matrix rows differ in length: {text!r}")
+        raise GwnetError(f"matrix rows differ in length: {text!r}")
     return np.array(rows)
 
 
@@ -83,11 +83,11 @@ def _load_inputs(paths: list[str], outputs: tuple[Path, ...] = ()
 
 
 def _read(path) -> MeasureNetwork:
-    """read_network, naming the file when it does not parse."""
+    """read_network, naming the file in any error its content raises."""
     try:
         return read_network(path)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except GwnetError as exc:
+        raise GwnetError(f"{path}: {exc}") from exc
 
 
 def _check_names(flag: str, values: list, names: list[str]) -> None:
@@ -130,13 +130,13 @@ def _cmd_distance(args) -> int:
 def _cmd_geodesic(args) -> int:
     ts = _parse_numbers(args.ts)
     if not all(0.0 <= t <= 1.0 for t in ts):
-        raise OutOfRangeError(f"--ts {args.ts}: every t must lie in [0, 1]")
+        raise GwnetError(f"--ts {args.ts}: every t must lie in [0, 1]")
     names = [f"t_{t:.4f}.{args.format}" for t in ts]
     _check_names("--ts", ts, names)
     mask = args.mask_threshold
     if mask is not None and not (np.isfinite(mask) and mask >= 0.0):
-        raise OutOfRangeError(f"--mask-threshold {mask}: must be a finite "
-                              "number >= 0")
+        raise GwnetError(f"--mask-threshold {mask}: must be a finite "
+                         "number >= 0")
     X = _read(args.x)
     Y = _read(args.y)
     rep = geodesic_aligned(X, Y, _gw_params(args))
@@ -201,7 +201,7 @@ def _cmd_pca(args) -> int:
     _json_out(out)
     grid = _parse_numbers(args.grid or "")
     if not np.all(np.isfinite(grid)):
-        raise OutOfRangeError(f"--grid {args.grid}: every step must be finite")
+        raise GwnetError(f"--grid {args.grid}: every step must be finite")
     steps = [f"s{s:+.3f}.{args.format}" for s in grid]
     _check_names("--grid", grid, steps)
     if args.components is not None:
@@ -235,7 +235,7 @@ def _cmd_featurize(args) -> int:
                 labels = dict(row[:2] for row in csv.reader(fh)
                               if len(row) >= 2)
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{args.labels}: not utf-8 text: {exc}") from exc
+            raise GwnetError(f"{args.labels}: not utf-8 text: {exc}") from exc
     named, ds = _tangent_dataset(args)
     feats = featurize(ds)
     headers = ["label"] + [f"f{i}" for i in range(feats.shape[1])]
@@ -253,7 +253,7 @@ def _sbm_spec(args) -> SbmSpec:
             try:
                 means = np.array(json.load(fh), dtype=float)
             except (TypeError, ValueError) as exc:
-                raise ParseError(f"{args.means_file}: {exc}") from None
+                raise GwnetError(f"{args.means_file}: {exc}") from None
     elif args.means:
         means = _parse_matrix(args.means)
     else:
@@ -313,7 +313,7 @@ def _cmd_asym_sweep(args) -> int:
     if len(sizes) == 1:
         sizes = sizes * 2
     if len(sizes) != 2:
-        raise ParseError(f"--sizes takes one or two sizes: {args.sizes!r}")
+        raise GwnetError(f"--sizes takes one or two sizes: {args.sizes!r}")
     rows = asymmetry_sweep(args.mode, _parse_numbers(args.alphas),
                            args.n_seeds, sizes=(sizes[0], sizes[1]),
                            rng_seed=args.seed)

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .networks import (DimensionMismatchError, GwnetError, MeasureNetwork,
-                       check_count)
+from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams, solve_gw
 from .alignment import _expansion_matrix, aligned_distance, glue
 
@@ -73,7 +72,7 @@ def _check_warm(warm, X: MeasureNetwork, S: list[MeasureNetwork]) -> list:
         return [None] * len(S)
     shapes = [np.shape(C) for C in warm]
     if shapes != [(X.size, Y.size) for Y in S]:
-        raise DimensionMismatchError(
+        raise GwnetError(
             f"warm start shapes {shapes} do not match the members")
     return list(warm)
 

@@ -15,10 +15,6 @@ from .gw import GwParams, solve_gw
 from .alignment import AlignedPair, aligned_distance, blow_up
 
 
-class OutOfRangeError(GwnetError):
-    pass
-
-
 @dataclass(frozen=True)
 class GeodesicRep:
     """Aligned endpoints plus the certified half-length (the distance)."""
@@ -34,7 +30,7 @@ class GeodesicRep:
 def evaluate(g: GeodesicRep, t: float) -> MeasureNetwork:
     """Network at parameter t along the geodesic, 0 <= t <= 1."""
     if not 0.0 <= t <= 1.0:
-        raise OutOfRangeError(f"t={t} outside [0, 1]")
+        raise GwnetError(f"t={t} outside [0, 1]")
     omega = (1.0 - t) * g.pair.omega_xhat + t * g.pair.omega_yhat
     return MeasureNetwork(omega, g.pair.mu_hat)
 

@@ -29,13 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import (Coupling, DimensionMismatchError, GwnetError,
-                       MeasureNetwork, SolveReport, check_count)
+from .networks import (Coupling, GwnetError, MeasureNetwork, SolveReport,
+                       check_count)
 from .linear_ot import OtProblem, _is_assignment, solve_linear_ot
-
-
-class NegativeRadicandError(GwnetError):
-    pass
 
 
 # FW stops once an iteration lowers the objective by no more than this
@@ -68,7 +64,7 @@ class GwParams:
 
 def _check_shapes(X: MeasureNetwork, Y: MeasureNetwork, C: np.ndarray):
     if C.shape != (X.size, Y.size):
-        raise DimensionMismatchError(
+        raise GwnetError(
             f"coupling shape {C.shape} does not match networks "
             f"({X.size}, {Y.size})")
 
@@ -96,10 +92,10 @@ def _distortion(dis2: float, const: float) -> float:
     """Distortion from a squared distortion computed with the constant
     const. A radicand within 1e-12 max(1, const) below zero is clamped
     (seen when the two quadratic terms cancel at scale); anything more
-    negative raises NegativeRadicandError."""
+    negative raises GwnetError."""
     if dis2 < 0:
         if dis2 < -1e-12 * max(1.0, const):
-            raise NegativeRadicandError(f"squared distortion {dis2} < 0")
+            raise GwnetError(f"squared distortion {dis2} < 0")
         dis2 = 0.0
     return float(np.sqrt(dis2))
 
@@ -156,12 +152,12 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
     current gradient as cost, then minimizes the objective on the segment
     toward the returned vertex. A solve stops when the LP returns the
     current coupling or a step stops lowering the objective; a flat segment
-    is stepped to its end, so a solve that meets one ends on a vertex. The
-    objective trace is non-increasing; the reported distance is an upper
-    bound on the true one, tight when a global minimizer is found. With
-    restarts > 0, extra seeded random-vertex starts are run and the best
-    final objective wins. A final squared distortion below zero beyond
-    rounding raises NegativeRadicandError, as in distortion_matrix.
+    is stepped to its end, so a solve that meets one ends on a vertex. No
+    step raises the objective; the reported distance is an upper bound on
+    the true one, tight when a global minimizer is found. With restarts >
+    0, extra seeded random-vertex starts are run and the best final
+    objective wins. A final squared distortion below zero beyond rounding
+    raises GwnetError, as in distortion_matrix.
     """
     params = params or GwParams()
     A, B = X.omega, Y.omega
@@ -171,9 +167,8 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
     best = None
     for C in _initial_couplings(X, Y, params):
         J = _objective(X, Y, C)[0]
-        trace = [J]
         G = -2.0 * _cross(A, B, C)     # without the marginal terms
-        converged = False
+        converged, steps = False, 0
         basis = []      # each step starts from the previous step's tree
         for _ in range(params.max_outer_iters):
             V = solve_linear_ot(OtProblem._step(G, p, q, assignment), basis)
@@ -193,22 +188,20 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
             G = G + t * G_D
             decrease = -t * (b + a * t)
             J -= decrease
-            trace.append(J)
+            steps += 1
             if decrease <= OBJECTIVE_TOL * max(abs(J), 1e-16):
                 converged = True
                 break
         # the updates above carry rounding; the reported value is exact
         J, const = _objective(X, Y, C)
-        trace[-1] = J
         if best is None or J < best[1]:
-            best = (C, J, const, trace, converged)
+            best = (C, J, const, steps, converged)
 
-    C, J, const, trace, converged = best
+    C, J, const, steps, converged = best
     C = np.maximum(C, 0.0)
     dis = _distortion(J, const)
-    report = SolveReport(cost=dis, gw_distance=dis / 2.0,
-                         iterations=len(trace) - 1, converged=converged,
-                         objective_trace=tuple(trace))
+    report = SolveReport(cost=dis, gw_distance=dis / 2.0, iterations=steps,
+                         converged=converged)
     return Coupling._adopt(C, p, q), report
 
 

@@ -44,10 +44,6 @@ PRICE_TOL = 1e-12
 PIVOTS_PER_NODE = 50
 
 
-class InfeasibleMarginalsError(GwnetError):
-    pass
-
-
 @dataclass(frozen=True)
 class OtProblem:
     """Cost and marginals of one transport problem, stored read-only."""
@@ -58,6 +54,9 @@ class OtProblem:
 
     def __post_init__(self):
         cost, p, q = _freeze(self.cost), _freeze(self.p), _freeze(self.q)
+        if p.ndim != 1 or q.ndim != 1:
+            raise GwnetError(f"p and q must be 1-D, got shapes {p.shape} "
+                             f"and {q.shape}")
         if cost.ndim != 2 or cost.shape != (p.shape[0], q.shape[0]):
             raise GwnetError(
                 f"cost shape {cost.shape} does not match marginals "
@@ -66,8 +65,7 @@ class OtProblem:
         for name, v in (("p", p), ("q", q)):
             # written so that NaN and infinite entries fail too
             if not (np.all(v > 0) and abs(v.sum() - 1.0) <= PROB_TOL):
-                raise InfeasibleMarginalsError(
-                    f"{name} is not a probability vector")
+                raise GwnetError(f"{name} is not a probability vector")
         # _assignment is not a field: the path solve_linear_ot takes, which
         # p and q alone decide
         self.__dict__.update(cost=cost, p=p, q=q,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,27 +18,8 @@ MARGINAL_TOL = 1e-8
 
 
 class GwnetError(ValueError):
-    """Base class for validation and computation errors in this package."""
-
-
-class NonSquareError(GwnetError):
-    pass
-
-
-class NonProbabilityError(GwnetError):
-    pass
-
-
-class NonFiniteEntryError(GwnetError):
-    pass
-
-
-class DimensionMismatchError(GwnetError):
-    pass
-
-
-class ParseError(GwnetError):
-    pass
+    """The one error this package raises, on invalid input or a failed
+    computation. Its message names the argument or step at fault."""
 
 
 def check_count(value, name: str, least: int) -> int:
@@ -77,20 +58,19 @@ class MeasureNetwork:
         omega = np.asarray(self.omega, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
         if omega.ndim != 2 or omega.shape[0] != omega.shape[1] or omega.shape[0] < 1:
-            raise NonSquareError(f"omega must be square, got shape {omega.shape}")
+            raise GwnetError(f"omega must be square, got shape {omega.shape}")
         n = omega.shape[0]
         if mu.shape != (n,):
-            raise NonProbabilityError(
-                f"mu must have length {n}, got shape {mu.shape}")
+            raise GwnetError(f"mu must have length {n}, got shape {mu.shape}")
         if not np.all(np.isfinite(omega)):
-            raise NonFiniteEntryError("omega contains non-finite entries")
+            raise GwnetError("omega contains non-finite entries")
         if not np.all(np.isfinite(mu)):
-            raise NonFiniteEntryError("mu contains non-finite entries")
+            raise GwnetError("mu contains non-finite entries")
         if np.any(mu <= 0):
-            raise NonProbabilityError("mu entries must be strictly positive")
+            raise GwnetError("mu entries must be strictly positive")
         total = float(mu.sum())
         if abs(total - 1.0) > PROB_TOL:
-            raise NonProbabilityError(f"mu sums to {total}, expected 1")
+            raise GwnetError(f"mu sums to {total}, expected 1")
         object.__setattr__(self, "omega", _freeze(omega))
         if abs(total - 1.0) > n * np.finfo(float).eps:
             mu = mu / total
@@ -111,12 +91,12 @@ def check_coupling(matrix: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     nonnegative entries, and row and column sums within MARGINAL_TOL of p
     and q per entry."""
     if matrix.ndim != 2 or matrix.shape != (p.shape[0], q.shape[0]):
-        raise DimensionMismatchError(
+        raise GwnetError(
             f"matrix shape {matrix.shape} does not match marginals "
             f"({p.shape[0]}, {q.shape[0]})")
     if not (np.isfinite(matrix).all() and np.isfinite(p).all()
             and np.isfinite(q).all()):
-        raise NonFiniteEntryError(
+        raise GwnetError(
             "coupling or its marginals contain non-finite entries")
     if matrix.min(initial=0.0) < 0:
         raise GwnetError("coupling entries must be nonnegative")
@@ -143,6 +123,9 @@ class Coupling:
         matrix = _freeze(self.matrix)
         p = _freeze(self.row_marginal)
         q = _freeze(self.col_marginal)
+        if p.ndim != 1 or q.ndim != 1:
+            raise GwnetError(f"marginals must be 1-D, got shapes {p.shape} "
+                             f"and {q.shape}")
         check_coupling(matrix, p, q)
         # a frozen dataclass sets its checked fields through __dict__
         self.__dict__.update(matrix=matrix, row_marginal=p, col_marginal=q)
@@ -169,15 +152,13 @@ class SolveReport:
     """Outcome of a distance solve.
 
     cost is the distortion at the returned coupling and gw_distance is
-    cost / 2. The objective trace records the squared distortion per outer
-    iteration of the winning start and is non-increasing up to 1e-12.
+    cost / 2. iterations counts the Frank-Wolfe steps of the winning start.
     """
 
     cost: float
     gw_distance: float
     iterations: int
     converged: bool
-    objective_trace: tuple[float, ...] = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +179,12 @@ def network_to_dict(net: MeasureNetwork) -> dict:
 
 def network_from_dict(d: dict) -> MeasureNetwork:
     if not isinstance(d, dict) or "omega" not in d or "mu" not in d:
-        raise ParseError("network object needs 'omega' and 'mu' fields")
+        raise GwnetError("network object needs 'omega' and 'mu' fields")
     try:
         omega = np.array(d["omega"], dtype=float)
         mu = np.array(d["mu"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"non-numeric network data: {exc}") from exc
+        raise GwnetError(f"non-numeric network data: {exc}") from exc
     return MeasureNetwork(omega, mu)
 
 
@@ -225,27 +206,27 @@ def write_network(net: MeasureNetwork, path) -> None:
 
 def read_network(path) -> MeasureNetwork:
     """Read a network written by write_network, in the format its name
-    gives. Raises ParseError on bad content."""
+    gives. Raises GwnetError on bad content."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"not utf-8 text: {exc}") from exc
+            raise GwnetError(f"not utf-8 text: {exc}") from exc
     if _format_for(path) == "json":
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid json: {exc}") from exc
+            raise GwnetError(f"invalid json: {exc}") from exc
         return network_from_dict(d)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("mu,"):
-        raise ParseError("csv network must start with a 'mu,...' line")
+        raise GwnetError("csv network must start with a 'mu,...' line")
     try:
         mu = np.array([float(x) for x in lines[0].split(",")[1:]], dtype=float)
         omega = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]],
                          dtype=float)
     except ValueError as exc:
-        raise ParseError(f"non-numeric csv entry: {exc}") from exc
+        raise GwnetError(f"non-numeric csv entry: {exc}") from exc
     if omega.size == 0:
-        raise ParseError("csv network has no omega rows")
+        raise GwnetError("csv network has no omega rows")
     return MeasureNetwork(omega, mu)

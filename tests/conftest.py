@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gwnet import GwParams, MeasureNetwork
+from gwnet import GwParams, MeasureNetwork, solve_gw
 
 # PASS/FAIL lines recorded by the end-to-end guarantee tests; replayed
 # after the run so they stay visible without -s.
@@ -60,6 +62,13 @@ def psd_network(rng, n, uniform_mu=True):
 def diagonal_start(net):
     """Solver settings that start from the identity coupling diag(mu)."""
     return GwParams(given=np.diag(net.mu))
+
+
+def capped_objectives(X, Y, params: GwParams, steps: int) -> np.ndarray:
+    """Squared cost of the solves of X and Y under params capped at 1 to
+    `steps` Frank-Wolfe steps: the best start's objective after each step."""
+    return np.array([solve_gw(X, Y, replace(params, max_outer_iters=k))[1]
+                     .cost ** 2 for k in range(1, steps + 1)])
 
 
 @st.composite

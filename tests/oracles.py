@@ -18,8 +18,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
-from gwnet import (Coupling, DimensionMismatchError, GwnetError,
-                   MeasureNetwork, OutOfRangeError, gw_distance)
+from gwnet import Coupling, GwnetError, MeasureNetwork, gw_distance
 
 
 def _tree_flows(edges, p, q, n, m):
@@ -228,7 +227,7 @@ def geodesic_naive(X, Y, C):
     """
     mat = C.matrix
     if mat.shape != (X.size, Y.size):
-        raise DimensionMismatchError(f"coupling shape {mat.shape}")
+        raise GwnetError(f"coupling shape {mat.shape}")
     src, tgt = np.nonzero(mat > 1e-9 * mat.max())
     masses = mat[src, tgt] / mat[src, tgt].sum()
     wx = X.omega[np.ix_(src, src)]
@@ -236,7 +235,7 @@ def geodesic_naive(X, Y, C):
 
     def at(t: float) -> MeasureNetwork:
         if not 0.0 <= t <= 1.0:
-            raise OutOfRangeError(f"t={t} outside [0, 1]")
+            raise GwnetError(f"t={t} outside [0, 1]")
         return MeasureNetwork((1.0 - t) * wx + t * wy, masses)
 
     return at
@@ -283,8 +282,6 @@ def compressed_target(X, Y, C) -> np.ndarray:
 def frechet_loss(S, Z, params=None) -> float:
     """Mean squared distance from Z to the members of S, each from a cold
     solve with the GwParams params."""
-    if not S:
-        raise GwnetError("empty collection")
     return sum(gw_distance(Z, Y, params) ** 2 for Y in S) / len(S)
 
 

@@ -7,7 +7,7 @@ from gwnet import (AlignedPair, Coupling, FrechetParams, GwParams, GwnetError,
                    distortion_matrix, frechet_gradient, geodesic_aligned,
                    gw_distance, log_map, random_vertex, solve_gw,
                    support_size)
-from gwnet.alignment import _support_mask
+from gwnet.alignment import _support_mask, glue
 from conftest import random_network
 from oracles import (compressed_target, expansion_coupling_source,
                      expansion_coupling_target)
@@ -113,6 +113,24 @@ def test_blow_up_rejects_mismatched_coupling(one_node, two_swap):
     C = Coupling(np.diag(two_swap.mu), two_swap.mu, two_swap.mu)
     with pytest.raises(GwnetError):
         blow_up(one_node, two_swap, C)
+
+
+def test_aligned_pairs_are_read_only():
+    # glue hands every member the same omega_xhat and mu_hat, so a write
+    # through one pair would change the others
+    rng = np.random.default_rng(9)
+    X = random_network(rng, 3)
+    members = [random_network(rng, n) for n in (2, 4)]
+    couplings = [solve_gw(X, Y)[0] for Y in members]
+    glued = glue(X, members, couplings)
+    assert glued[0].omega_xhat is glued[1].omega_xhat
+    for pair in glued + [blow_up(X, members[1], couplings[1])]:
+        for a in (pair.omega_xhat, pair.omega_yhat, pair.mu_hat,
+                  pair.source_index, pair.target_index):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 99
+    assert not np.any(glued[1].omega_xhat == 99)
 
 
 def test_aligned_distance_matches_solver_distance():

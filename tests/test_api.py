@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 from dataclasses import fields
 from pathlib import Path
@@ -133,6 +134,70 @@ def test_removed_names_stay_removed():
     for module in (gwnet.alignment, gwnet.tangent):
         for name in ("solve_gw", "GwParams"):
             assert not hasattr(module, name), (module.__name__, name)
+    # one error class: no program caught the subclasses by name
+    for module, name in (
+            (gwnet.networks, "NonSquareError"),
+            (gwnet.networks, "NonProbabilityError"),
+            (gwnet.networks, "NonFiniteEntryError"),
+            (gwnet.networks, "DimensionMismatchError"),
+            (gwnet.networks, "ParseError"),
+            (gwnet.linear_ot, "InfeasibleMarginalsError"),
+            (gwnet.gw, "NegativeRadicandError"),
+            (gwnet.geodesics, "OutOfRangeError")):
+        assert not hasattr(gwnet, name), name
+        assert name not in gwnet.__all__, name
+        assert not hasattr(module, name), name
+    # no program read the solver's objective trace
+    assert "objective_trace" not in [f.name for f in fields(gwnet.SolveReport)]
+
+
+def test_every_raise_in_the_library_raises_gwnet_error():
+    """Every raise statement in src/gwnet raises GwnetError, or re-raises:
+    a bare raise, or a raise of a name an except clause bound."""
+    wrong = []
+    for f in sorted((ROOT / "src" / "gwnet").glob("*.py")):
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        caught = {node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and node.name}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(exc, ast.Name) and (exc.id == "GwnetError"
+                                              or exc.id in caught):
+                continue
+            wrong.append(f"{f.name}:{node.lineno}")
+    assert wrong == []
+
+
+def test_every_other_exception_class_is_caught_by_name():
+    """An exception class defined in src/gwnet other than GwnetError is
+    caught by name somewhere in src/gwnet, bench/ or demos/; a class no
+    program tells apart from GwnetError is GwnetError."""
+    defined = set()
+    for f in (ROOT / "src" / "gwnet").glob("*.py"):
+        if f.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"gwnet.{f.stem}")
+        defined.update(name for name, obj in vars(module).items()
+                       if isinstance(obj, type)
+                       and issubclass(obj, BaseException)
+                       and obj.__module__ == module.__name__)
+    assert "GwnetError" in defined
+    caught = set()
+    files = list((ROOT / "src" / "gwnet").glob("*.py"))
+    files += list((ROOT / "bench").glob("*.py"))
+    files += list((ROOT / "demos").glob("*.py"))
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for name in ast.walk(node.type):
+                    if isinstance(name, ast.Name):
+                        caught.add(name.id)
+                    elif isinstance(name, ast.Attribute):
+                        caught.add(name.attr)
+    assert sorted(defined - caught - {"GwnetError"}) == []
 
 
 def test_every_exported_name_has_a_program_caller():

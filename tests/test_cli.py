@@ -70,12 +70,20 @@ def test_distance_on_a_malformed_file_fails_cleanly(tmp_path, capsys):
 ])
 def test_every_network_read_names_a_file_that_does_not_parse(
         argv, example_files, tmp_path, capsys):
+    # a file that does not parse, and well-formed ones whose network is
+    # invalid: the error names the file either way
     x, y = example_files
     bad = tmp_path / "bad.json"
-    bad.write_text("{bad")
-    argv = [a.format(x=x, y=y, bad=bad) for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-    assert f"error: {bad}: invalid json" in capsys.readouterr().err
+    for text, message in (
+            ("{bad", "invalid json"),
+            ('{"omega": [[0, 1], [1, 0]], "mu": [0.6, 0.6]}',
+             "mu sums to 1.2, expected 1"),
+            ('{"omega": [[0, 1, 2], [3, 4, 5]], "mu": [0.5, 0.5]}',
+             "omega must be square, got shape (2, 3)")):
+        bad.write_text(text)
+        args = [a.format(x=x, y=y, bad=bad) for a in argv]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 1
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- geodesic

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwnet import InfeasibleMarginalsError, GwnetError, OtProblem, \
+from gwnet import Coupling, GwnetError, OtProblem, random_vertex, \
     solve_linear_ot
 from gwnet import linear_ot
 from gwnet.linear_ot import _network_simplex
@@ -220,16 +220,16 @@ def test_cost_scaling_keeps_the_same_vertex():
 
 
 def test_problem_validation():
-    with pytest.raises(InfeasibleMarginalsError):
+    with pytest.raises(GwnetError, match="p is not a probability vector"):
         OtProblem(np.zeros((2, 2)), np.array([0.7, 0.4]),
                   np.array([0.5, 0.5]))
-    with pytest.raises(InfeasibleMarginalsError):
+    with pytest.raises(GwnetError, match="p is not a probability vector"):
         OtProblem(np.zeros((2, 2)), np.array([1.0, 0.0]),
                   np.array([0.5, 0.5]))
     for bad in ([np.nan, 0.5], [np.inf, 0.5], [np.nan, np.nan]):
-        with pytest.raises(InfeasibleMarginalsError):
+        with pytest.raises(GwnetError, match="p is not a probability"):
             OtProblem(np.zeros((2, 2)), np.array(bad), np.array([0.5, 0.5]))
-        with pytest.raises(InfeasibleMarginalsError):
+        with pytest.raises(GwnetError, match="q is not a probability"):
             OtProblem(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array(bad))
     with pytest.raises(GwnetError):
         OtProblem(np.array([[np.inf, 0], [0, 0]]), np.array([0.5, 0.5]),
@@ -237,6 +237,30 @@ def test_problem_validation():
     with pytest.raises(GwnetError):
         OtProblem(np.zeros((2, 3)), np.array([0.5, 0.5]),
                   np.array([0.5, 0.5]))
+    # a 0-d marginal has no length to compare
+    with pytest.raises(GwnetError, match="must be 1-D"):
+        OtProblem(np.full((1, 2), 0.5), np.array(1.0), np.array([0.5, 0.5]))
+
+
+def _uniform(n: int, m: int) -> np.ndarray:
+    return np.full((n, m), 1 / (n * m))
+
+
+COLUMN, HALVES, THIRDS = np.full((2, 1), .5), np.full(2, .5), np.full(3, 1 / 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p, q: OtProblem(_uniform(len(p), len(q)), p, q),
+    lambda p, q: Coupling(_uniform(len(p), len(q)), p, q),
+    lambda p, q: random_vertex(p, q, np.random.default_rng(0)),
+], ids=["OtProblem", "Coupling", "random_vertex"])
+@pytest.mark.parametrize("p, q", [(COLUMN, HALVES), (HALVES, COLUMN),
+                                  (COLUMN, THIRDS)],
+                         ids=["2x2-p", "2x2-q", "2x3-p"])
+def test_marginals_must_be_vectors(build, p, q):
+    # a column of the right length passes every length and sum check
+    with pytest.raises(GwnetError, match="must be 1-D"):
+        build(p, q)
 
 
 @pytest.mark.parametrize("n, m, uniform", [

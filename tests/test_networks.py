@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gwnet import (Coupling, GwnetError, MeasureNetwork, NonFiniteEntryError,
-                   NonProbabilityError, NonSquareError, ParseError,
-                   network_from_dict, network_to_dict, read_network,
-                   write_network)
+from gwnet import (Coupling, GwnetError, MeasureNetwork, network_from_dict,
+                   network_to_dict, read_network, write_network)
 from conftest import measure_networks
 
 
@@ -18,39 +16,39 @@ def test_example_networks_validate(one_node, two_swap):
 
 
 def test_non_square_rejected():
-    with pytest.raises(NonSquareError):
+    with pytest.raises(GwnetError, match="omega must be square"):
         MeasureNetwork(np.zeros((2, 3)), np.array([0.5, 0.5]))
-    with pytest.raises(NonSquareError):
+    with pytest.raises(GwnetError, match="omega must be square"):
         MeasureNetwork(np.zeros(3), np.full(3, 1 / 3))
 
 
 def test_uniform_network_rejects_the_empty_matrix():
     # a network needs at least one node; the empty matrix is refused
     # before any division by the node count
-    with pytest.raises(NonSquareError):
+    with pytest.raises(GwnetError, match="omega must be square"):
         MeasureNetwork(np.zeros((0, 0)), np.zeros(0))
 
 
 def test_mu_sum_off_rejected():
-    with pytest.raises(NonProbabilityError):
+    with pytest.raises(GwnetError, match="mu sums to .*, expected 1"):
         MeasureNetwork(np.array([[0.0, 1.0], [1.0, 0.0]]),
                        np.array([0.6, 0.5]))
 
 
 def test_mu_nonpositive_rejected():
-    with pytest.raises(NonProbabilityError):
+    with pytest.raises(GwnetError, match="mu entries must be strictly"):
         MeasureNetwork(np.zeros((2, 2)), np.array([1.0, 0.0]))
-    with pytest.raises(NonProbabilityError):
+    with pytest.raises(GwnetError, match="mu entries must be strictly"):
         MeasureNetwork(np.zeros((2, 2)), np.array([1.5, -0.5]))
 
 
 def test_non_finite_rejected():
-    with pytest.raises(NonFiniteEntryError):
+    with pytest.raises(GwnetError, match="omega contains non-finite"):
         MeasureNetwork(np.array([[np.nan]]), np.array([1.0]))
-    with pytest.raises(NonFiniteEntryError):
+    with pytest.raises(GwnetError, match="omega contains non-finite"):
         MeasureNetwork(np.array([[np.inf, 0], [0, 0.0]]),
                        np.array([0.5, 0.5]))
-    with pytest.raises(NonFiniteEntryError):
+    with pytest.raises(GwnetError, match="mu contains non-finite"):
         MeasureNetwork(np.zeros((2, 2)), np.array([np.nan, 0.5]))
 
 
@@ -163,18 +161,18 @@ def test_file_name_chooses_format(tmp_path, two_swap):
 def test_csv_missing_mu_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.0,1.0\n1.0,0.0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(GwnetError, match="must start with a 'mu,...' line"):
         read_network(path)
     # a mu line with no omega rows
     path.write_text("mu,1.0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(GwnetError, match="csv network has no omega rows"):
         read_network(path)
 
 
 def test_csv_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("mu,0.5,0.5\n0,x\n1,0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(GwnetError, match="non-numeric csv entry"):
         read_network(path)
 
 
@@ -182,7 +180,7 @@ def test_json_non_numeric(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"omega": [[0, "x"], [1, 0]],
                                 "mu": [0.5, 0.5]}))
-    with pytest.raises(ParseError, match="non-numeric network data"):
+    with pytest.raises(GwnetError, match="non-numeric network data"):
         read_network(path)
 
 
@@ -197,14 +195,14 @@ def test_json_rectangular_omega(tmp_path):
 def test_json_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(GwnetError, match="invalid json"):
         read_network(path)
 
 
 def test_json_missing_fields(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"omega": [[1.0]]}))
-    with pytest.raises(ParseError):
+    with pytest.raises(GwnetError, match="needs 'omega' and 'mu' fields"):
         read_network(path)
 
 
@@ -216,8 +214,10 @@ def test_coupling_validation():
         Coupling(np.array([[0.6, -0.1], [0.0, 0.5]]), p, q)
     with pytest.raises(GwnetError):
         Coupling(np.full((2, 2), 0.25), p, np.array([0.9, 0.1]))
+    with pytest.raises(GwnetError, match="must be 1-D"):
+        Coupling(np.full((1, 2), 0.5), np.array(1.0), q)
     for bad in ([np.nan, 0.5], [np.inf, 0.5]):
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(GwnetError, match="contain non-finite entries"):
             Coupling(np.eye(2) * 0.5, p, np.array(bad))
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(GwnetError, match="contain non-finite entries"):
             Coupling(np.eye(2) * 0.5, np.array(bad), q)
