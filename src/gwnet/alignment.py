@@ -182,12 +182,3 @@ def aligned_distance(pair: AlignedPair) -> float:
     diff2 = (pair.omega_xhat - pair.omega_yhat) ** 2
     dis2 = float(pair.mu_hat @ diff2 @ pair.mu_hat)
     return float(np.sqrt(dis2)) / 2.0
-
-
-def _expansion_matrix(index, n: int, pair: AlignedPair) -> np.ndarray:
-    """n x |pair| matrix giving each expanded node k its own mass at the
-    node index[k] of the unexpanded network."""
-    mat = np.zeros((n, pair.size))
-    mat[index, np.arange(pair.size)] = pair.mu_hat
-    return mat
-

@@ -168,10 +168,9 @@ def _cmd_mean(args) -> int:
                                        rng_seed=args.seed))
     result = frechet_mean(nets, params, seed=seed)
     write_network(result.network, out)
-    with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss", "baseSize"])
-        writer.writerows(result.trace)
+    headers = ["iteration", "loss", "baseSize"]
+    _write_rows([dict(zip(headers, row)) for row in result.trace],
+                trace_path, headers)
     print(f"loss {result.loss:.9f} size {result.network.size} "
           f"converged {result.converged}")
     return 0 if result.converged else 2

@@ -139,7 +139,8 @@ def sbm_compression_experiment(spec: SbmSpec, n_runs: int = 20,
     random B-node network; once the couplings lock onto the blocks, one
     full step lands exactly on half the empirical block means. Run r draws
     its network at seed spec.rng_seed + 1000 * r and runs params with
-    gw.rng_seed set to rng_seed + r (seed network and solver restarts).
+    compress "to_seed_size", whatever params set, and gw.rng_seed set to
+    rng_seed + r (seed network and solver restarts).
 
     Each run reports the deviation from the population target means/2
     after the best block relabeling, plus the deviation of the
@@ -159,15 +160,15 @@ def sbm_compression_experiment(spec: SbmSpec, n_runs: int = 20,
         raise GwnetError(f"at most {MAX_EXPERIMENT_BLOCKS} blocks, got {B}")
     target = spec.means / 2.0
     zeros = MeasureNetwork(np.zeros((B, B)), np.full(B, 1.0 / B))
+    params = params or FrechetParams(max_iters=40, gw=GwParams(restarts=2))
     runs = []
     for r in range(n_runs):
         run_seed = rng_seed + r
         draw = SbmSpec(spec.block_sizes, spec.means, spec.variance,
                        rng_seed=spec.rng_seed + 1000 * r)
         Y = generate_sbm(draw)
-        p = params or FrechetParams(
-            max_iters=40, compress="to_seed_size", gw=GwParams(restarts=2))
-        p = replace(p, gw=replace(p.gw, rng_seed=run_seed))
+        p = replace(params, compress="to_seed_size",
+                    gw=replace(params.gw, rng_seed=run_seed))
         result = frechet_mean([zeros, Y], p, seed=B)
         perm, dev = _best_block_permutation(result.network.omega, target)
         single = compressed_average(zeros, Y, p)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams, solve_gw
-from .alignment import _expansion_matrix, aligned_distance, glue
+from .alignment import aligned_distance, glue
 
 
 # A step of TAU lands exactly on the entrywise mean of the aligned members
@@ -51,8 +51,9 @@ class FrechetParams:
     The iteration stops at the first stationary iterate, and after
     max_iters steps in any case. compress "to_seed_size" averages each
     member over the copies of each base node, mass-weighted, so the base
-    never grows. gw configures every distance solve, except that a solve
-    with a warm start (every one after a member's first) runs no restarts.
+    never grows. gw configures every distance solve; every solve after a
+    member's first starts from its previous coupling, so by the start rule
+    of GwParams only the first runs gw.restarts.
     """
 
     max_iters: int = 100
@@ -75,14 +76,6 @@ def _check_warm(warm, X: MeasureNetwork, S: list[MeasureNetwork]) -> list:
         raise GwnetError(
             f"warm start shapes {shapes} do not match the members")
     return list(warm)
-
-
-def _warm_params(gw_params: GwParams, start: np.ndarray | None) -> GwParams:
-    """gw_params started from the coupling `start`, if there is one."""
-    if start is None:
-        return gw_params
-    # a concrete start replaces multi-start: restarts add nothing but cost
-    return replace(gw_params, given=start, restarts=0)
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,8 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
-    solved = [solve_gw(X, Y, _warm_params(params.gw, start))
+    solved = [solve_gw(X, Y, params.gw if start is None
+                       else replace(params.gw, given=start))
               for Y, start in zip(S, _check_warm(warm, X, S))]
     if params.compress == "to_seed_size":
         base, couplings = X, [C.matrix for C, _ in solved]
@@ -126,8 +120,10 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
     else:
         pairs = glue(X, S, [C for C, _ in solved])
         base, targets = pairs[0].base_network(), [p.omega_yhat for p in pairs]
-        couplings = [_expansion_matrix(p.target_index, Y.size, p).T
-                     for Y, p in zip(S, pairs)]
+        couplings = [np.zeros((p.size, Y.size)) for Y, p in zip(S, pairs)]
+        for C, p in zip(couplings, pairs):
+            # diagonal from the base: row k holds mu_hat[k] at target_index[k]
+            C[np.arange(p.size), p.target_index] = p.mu_hat
         distances = [aligned_distance(p) for p in pairs]
     g = 2.0 * (base.omega - np.mean(targets, axis=0))
     loss = float(np.mean([d ** 2 for d in distances]))

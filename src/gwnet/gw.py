@@ -44,11 +44,11 @@ class GwParams:
     """Knobs for the outer solver.
 
     Every iteration steps to the exact minimizer of the objective on the
-    segment toward the new vertex. A solve starts from `given`, which must
-    be a coupling of the two networks' measures, or else from the product
-    coupling. restarts adds that many extra starts from seeded random
-    vertices; the best final objective wins. Params compare and hash by
-    identity, since `given` may hold an array.
+    segment toward the new vertex. A solve with `given`, which must be a
+    coupling of the two networks' measures, runs from it alone. restarts
+    apply only to a solve without it: the product coupling and that many
+    seeded random vertices start, and the best final objective wins.
+    Params compare and hash by identity, since `given` may hold an array.
     """
 
     max_outer_iters: int = 200
@@ -119,17 +119,17 @@ def random_vertex(p: np.ndarray, q: np.ndarray, rng: np.random.Generator) -> np.
     exact transport optimum of a cost drawn uniformly from [0, 1) by rng,
     so a scaled permutation on the assignment path and at most n + m - 1
     entries from the simplex."""
-    return solve_linear_ot(OtProblem(rng.random((len(p), len(q))), p, q)).matrix
+    cost = rng.random((np.size(p), np.size(q)))
+    return solve_linear_ot(OtProblem(cost, p, q)).matrix
 
 
 def _initial_couplings(X, Y, params: GwParams) -> list[np.ndarray]:
     p, q = X.mu, Y.mu
-    if params.given is None:
-        starts = [np.outer(p, q)]
-    else:
-        # copied in C order like every other start: products round by layout
+    if params.given is not None:
+        # a C-order copy, as products round by layout
         given = np.array(params.given, dtype=float, order="C")
-        starts = [Coupling._adopt(given, p, q).matrix]
+        return [Coupling._adopt(given, p, q).matrix]
+    starts = [np.outer(p, q)]
     if params.restarts:
         rng = np.random.default_rng(params.rng_seed)
         starts += [random_vertex(p, q, rng) for _ in range(params.restarts)]
@@ -154,10 +154,11 @@ def solve_gw(X: MeasureNetwork, Y: MeasureNetwork,
     current coupling or a step stops lowering the objective; a flat segment
     is stepped to its end, so a solve that meets one ends on a vertex. No
     step raises the objective; the reported distance is an upper bound on
-    the true one, tight when a global minimizer is found. With restarts >
-    0, extra seeded random-vertex starts are run and the best final
-    objective wins. A final squared distortion below zero beyond rounding
-    raises GwnetError, as in distortion_matrix.
+    the true one, tight when a global minimizer is found. A solve from
+    params.given runs it alone; one without it starts from the product
+    coupling and params.restarts seeded random vertices, and the best
+    final objective wins. A final squared distortion below zero beyond
+    rounding raises GwnetError, as in distortion_matrix.
     """
     params = params or GwParams()
     A, B = X.omega, Y.omega

@@ -149,6 +149,10 @@ def test_removed_names_stay_removed():
         assert not hasattr(module, name), name
     # no program read the solver's objective trace
     assert "objective_trace" not in [f.name for f in fields(gwnet.SolveReport)]
+    # solve_gw alone applies the start rule, and the mean builds its next
+    # starts itself
+    assert not hasattr(gwnet.frechet, "_warm_params")
+    assert not hasattr(gwnet.alignment, "_expansion_matrix")
 
 
 def test_every_raise_in_the_library_raises_gwnet_error():
@@ -201,21 +205,31 @@ def test_every_other_exception_class_is_caught_by_name():
 
 
 def test_every_exported_name_has_a_program_caller():
-    """Every name in __all__ is referenced by the library outside
-    __init__.py, by bench/ (its test files excluded) or by demos/.
+    """Every function in __all__ is called, and every other name in it is
+    referenced, by the library outside __init__.py, by bench/ (its test
+    files excluded) or by demos/.
 
-    A reference is an ast.Name or ast.Attribute with that name anywhere in
-    those files, so this cannot see dead code that only other dead code
-    calls: an exported function whose one caller no program calls passes.
+    A call is an ast.Call whose callee is a Name or an Attribute with the
+    function's name, so a field of the same name (SolveReport.gw_distance)
+    does not hide an exported function that no program calls. A reference
+    is an ast.Name or ast.Attribute with the name anywhere in those files.
+    Neither sees dead code that only other dead code calls: an exported
+    function whose one caller no program calls passes.
     """
-    seen = set()
+    seen, called = set(), set()
     for f in _program_files():
         for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 seen.add(node.id)
             elif isinstance(node, ast.Attribute):
                 seen.add(node.attr)
-    assert sorted(set(gwnet.__all__) - seen) == []
+            elif isinstance(node, ast.Call):
+                called.add(getattr(node.func, "id",
+                                   getattr(node.func, "attr", None)))
+    funcs = {name for name in gwnet.__all__
+             if inspect.isfunction(getattr(gwnet, name))}
+    assert sorted(funcs - called) == []
+    assert sorted(set(gwnet.__all__) - funcs - seen) == []
 
 
 def _program_files() -> list[Path]:

@@ -1,11 +1,12 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gwnet import (GwParams, GwnetError, SbmSpec, asymmetry_sweep,
-                   default_sbm_spec, generate_sbm, sbm_compression_experiment,
-                   support_size_sweep)
+from gwnet import (FrechetParams, GwParams, GwnetError, SbmSpec,
+                   asymmetry_sweep, default_sbm_spec, generate_sbm,
+                   sbm_compression_experiment, support_size_sweep)
 from gwnet import experiments
 from gwnet.experiments import _best_block_permutation
 
@@ -115,6 +116,23 @@ def test_noisy_run_recovers_the_means_to_sampling_accuracy():
     # the sample block means of the network run 0 drew
     oracle = half_sample_block_means(generate_sbm(spec).omega)
     assert relabeled_gap(run.recovered, oracle) <= 1e-9
+
+
+def test_the_experiment_runs_a_compressed_mean_whatever_params_say():
+    # an uncompressed mean's base grows, and the top-left block of a grown
+    # base recovers nothing (a max_deviation of 24.7 here)
+    spec = SbmSpec((4, 4, 4), means=[[0, 25, 50], [50, 0, 25], [25, 50, 0]],
+                   variance=1, rng_seed=3)
+    none, seed_size = (
+        sbm_compression_experiment(
+            spec, n_runs=2, params=FrechetParams(
+                max_iters=10, compress=compress, gw=GwParams(restarts=2))).runs
+        for compress in ("none", "to_seed_size"))
+    for a, b in zip(none, seed_size, strict=True):
+        assert a.max_deviation < 1.0
+        for f in fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), \
+                f.name
 
 
 @pytest.mark.parametrize("n_runs, bound", [

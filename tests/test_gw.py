@@ -317,6 +317,22 @@ def test_given_start_must_couple_the_two_measures(two_swap, given):
         solve_gw(two_swap, two_swap, GwParams(given=given))
 
 
+def test_a_given_start_runs_alone():
+    """restarts apply only to a solve without a given start: on this pair
+    a restart beats the product coupling, yet a solve given that coupling
+    runs it alone, bit for bit the same whatever restarts says."""
+    rng = np.random.default_rng(1)
+    X, Y = random_network(rng, 4), random_network(rng, 5)
+    C = np.outer(X.mu, Y.mu)
+    alone, report = solve_gw(X, Y, GwParams(given=C))
+    _, multi = solve_gw(X, Y, GwParams(restarts=4, rng_seed=0))
+    assert multi.cost < report.cost
+    given, given_report = solve_gw(
+        X, Y, GwParams(given=C, restarts=4, rng_seed=0))
+    assert np.array_equal(given.matrix, alone.matrix)
+    assert given_report == report
+
+
 def test_solve_returns_valid_coupling():
     rng = np.random.default_rng(19)
     X = random_network(rng, 4, uniform_mu=False)

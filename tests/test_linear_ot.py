@@ -237,9 +237,6 @@ def test_problem_validation():
     with pytest.raises(GwnetError):
         OtProblem(np.zeros((2, 3)), np.array([0.5, 0.5]),
                   np.array([0.5, 0.5]))
-    # a 0-d marginal has no length to compare
-    with pytest.raises(GwnetError, match="must be 1-D"):
-        OtProblem(np.full((1, 2), 0.5), np.array(1.0), np.array([0.5, 0.5]))
 
 
 def _uniform(n: int, m: int) -> np.ndarray:
@@ -250,15 +247,16 @@ COLUMN, HALVES, THIRDS = np.full((2, 1), .5), np.full(2, .5), np.full(3, 1 / 3)
 
 
 @pytest.mark.parametrize("build", [
-    lambda p, q: OtProblem(_uniform(len(p), len(q)), p, q),
-    lambda p, q: Coupling(_uniform(len(p), len(q)), p, q),
+    lambda p, q: OtProblem(_uniform(np.size(p), np.size(q)), p, q),
+    lambda p, q: Coupling(_uniform(np.size(p), np.size(q)), p, q),
     lambda p, q: random_vertex(p, q, np.random.default_rng(0)),
 ], ids=["OtProblem", "Coupling", "random_vertex"])
 @pytest.mark.parametrize("p, q", [(COLUMN, HALVES), (HALVES, COLUMN),
-                                  (COLUMN, THIRDS)],
-                         ids=["2x2-p", "2x2-q", "2x3-p"])
+                                  (COLUMN, THIRDS), (np.array(1.0), HALVES)],
+                         ids=["2x2-p", "2x2-q", "2x3-p", "0d-p"])
 def test_marginals_must_be_vectors(build, p, q):
-    # a column of the right length passes every length and sum check
+    # a column of the right length passes every length and sum check, and
+    # a 0-d marginal has no length to compare
     with pytest.raises(GwnetError, match="must be 1-D"):
         build(p, q)
 
