@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import Coupling, MeasureNetwork, check_coupling
-from .gw import _as_matrix
+from .networks import Coupling, MeasureNetwork, _coupling_of
 
 # entries below this fraction of the largest one are treated as zeros:
 # Frank-Wolfe steps leave dust that must not spawn spurious node copies
@@ -42,8 +41,9 @@ def _support_mask(x: np.ndarray) -> np.ndarray:
 
 
 def support_size(C) -> int:
-    """Number of coupling entries in the support: the size of its blow-up."""
-    return int(_support_mask(_as_matrix(C)).sum())
+    """Support size of C, a Coupling or a matrix: the size of its blow-up."""
+    mat = C.matrix if isinstance(C, Coupling) else np.asarray(C, dtype=float)
+    return int(_support_mask(mat).sum())
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,12 @@ class AlignedPair:
         return MeasureNetwork(self.omega_xhat, self.mu_hat)
 
 
-def _pieces(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling
+def _pieces(X: MeasureNetwork, Y: MeasureNetwork, C
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support entries (src, tgt) of C in row-major order, with their
-    masses renormalized per source row so that each row sums to mu_X.
-    C's matrix is checked against the two measures."""
-    mat = C.matrix
-    # C was checked against its own marginals when it was built
-    if not (np.array_equal(C.row_marginal, X.mu)
-            and np.array_equal(C.col_marginal, Y.mu)):
-        check_coupling(mat, X.mu, Y.mu)
+    """Support entries (src, tgt) of C, a Coupling or a matrix checked to
+    couple the two measures, in row-major order, with their masses
+    renormalized per source row so that each row sums to mu_X."""
+    mat = _coupling_of(C, X.mu, Y.mu).matrix
     src, tgt = np.nonzero(_support_mask(mat))  # row-major: src ascends
     masses = mat[src, tgt]
     # exact mass preservation per source node: its copies are the run of
@@ -99,14 +95,14 @@ def _pieces(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling
     return src, tgt, masses
 
 
-def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C: Coupling) -> AlignedPair:
+def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C) -> AlignedPair:
     """Expand a coupling of X and Y into an aligned pair.
 
-    C must be a coupling of (mu_X, mu_Y); its matrix is checked against
-    the two measures. Masses are renormalized per source row so that the
-    copies of each X node reproduce its measure exactly. The expansion has
-    support_size(C) nodes: at most n + m - 1 on a vertex coupling and up
-    to n * m on an interior one, which is not thinned first.
+    C, a Coupling or a matrix, must couple (mu_X, mu_Y), which is checked.
+    Masses are renormalized per source row so that the copies of each X
+    node reproduce its measure exactly. The expansion has support_size(C)
+    nodes: at most n + m - 1 on a vertex coupling and up to n * m on an
+    interior one, which is not thinned first.
     """
     src, tgt, masses = _pieces(X, Y, C)
     return AlignedPair(omega_xhat=X.omega[np.ix_(src, src)],
@@ -121,9 +117,10 @@ def _key(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def glue(X: MeasureNetwork, members: list[MeasureNetwork],
-         couplings: list[Coupling]) -> list[AlignedPair]:
-    """Blow X up once for a coupling to each member: one aligned pair per
-    member, all on the same base.
+         couplings: list) -> list[AlignedPair]:
+    """Blow X up once for a coupling to each member (a Coupling or a
+    matrix, checked as in blow_up): one aligned pair per member, all on the
+    same base.
 
     The blow-up of C_k cuts mu_X(x) into consecutive pieces, one per
     support entry of row x in column order. The glued base cuts mu_X(x) at
@@ -140,7 +137,7 @@ def glue(X: MeasureNetwork, members: list[MeasureNetwork],
     cuts, targets = [], []
     for Y, C in zip(members, couplings):
         src, tgt, masses = _pieces(X, Y, C)
-        running = np.zeros(C.matrix.shape)
+        running = np.zeros((X.size, Y.size))
         running[src, tgt] = masses
         ends = np.cumsum(running, axis=1)[src, tgt]
         inner = np.flatnonzero(src[1:] == src[:-1])  # not last in its row

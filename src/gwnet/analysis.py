@@ -58,7 +58,8 @@ def vectorize_at_base(base: MeasureNetwork, nets: list[MeasureNetwork],
     flatten.
 
     Rows are omega_target_k - omega_base on that common base, in row-major
-    order: the targets of frechet_gradient at the base, from cold solves.
+    order: the targets of frechet_gradient at the base, from cold solves,
+    or every member from gw_params.given when it is set.
     """
     grad = frechet_gradient(nets, base,
                             FrechetParams(gw=gw_params or GwParams()))

@@ -225,7 +225,9 @@ def asymmetry_sweep(mode: str, alphas, n_seeds: int,
         raise GwnetError(f"unknown mode {mode!r}")
     rng_seed = check_count(rng_seed, "rng_seed", 0)
     rng = np.random.default_rng(rng_seed)
-    n1, n2 = (check_count(n, "size", 1) for n in sizes[:2])
+    if np.shape(sizes) != (2,):
+        raise GwnetError(f"sizes must hold two sizes, got {sizes!r}")
+    n1, n2 = (check_count(n, "size", 1) for n in sizes)
     n_seeds = check_count(n_seeds, "n_seeds", 1)
     X1 = rng.random((n1, n1))
     X2 = rng.random((n2, n2))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .networks import GwnetError, MeasureNetwork, check_count
+from .networks import GwnetError, MeasureNetwork, _coupling_of, check_count
 from .gw import GwParams, solve_gw
 from .alignment import aligned_distance, glue
 
@@ -67,15 +67,15 @@ class FrechetParams:
 
 
 def _check_warm(warm, X: MeasureNetwork, S: list[MeasureNetwork]) -> list:
-    """The warm starts as a new list, one coupling from X to each member,
-    or all None."""
+    """One Coupling from X to each member, from the warm starts (each a
+    Coupling or a matrix, checked against the measures), or all None."""
     if warm is None:
         return [None] * len(S)
     shapes = [np.shape(C) for C in warm]
     if shapes != [(X.size, Y.size) for Y in S]:
         raise GwnetError(
             f"warm start shapes {shapes} do not match the members")
-    return list(warm)
+    return [_coupling_of(C, X.mu, Y.mu) for C, Y in zip(warm, S)]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .networks import (Coupling, GwnetError, MeasureNetwork, SolveReport,
-                       check_count)
+                       _coupling_of, check_count)
 from .linear_ot import OtProblem, _is_assignment, solve_linear_ot
 
 
@@ -44,15 +44,15 @@ class GwParams:
     """Knobs for the outer solver.
 
     Every iteration steps to the exact minimizer of the objective on the
-    segment toward the new vertex. A solve with `given`, which must be a
-    coupling of the two networks' measures, runs from it alone. restarts
-    apply only to a solve without it: the product coupling and that many
-    seeded random vertices start, and the best final objective wins.
-    Params compare and hash by identity, since `given` may hold an array.
+    segment toward the new vertex. A solve with `given`, a Coupling or a
+    matrix coupling the two networks' measures, runs from it alone.
+    restarts apply only to a solve without it: the product coupling and
+    that many seeded random vertices start, and the best final objective
+    wins. Params compare and hash by identity (`given` may be an array).
     """
 
     max_outer_iters: int = 200
-    given: np.ndarray | None = None
+    given: Coupling | np.ndarray | None = None
     restarts: int = 0
     rng_seed: int = 0
 
@@ -60,17 +60,6 @@ class GwParams:
         check_count(self.max_outer_iters, "max_outer_iters", 1)
         check_count(self.restarts, "restarts", 0)
         check_count(self.rng_seed, "rng_seed", 0)
-
-
-def _check_shapes(X: MeasureNetwork, Y: MeasureNetwork, C: np.ndarray):
-    if C.shape != (X.size, Y.size):
-        raise GwnetError(
-            f"coupling shape {C.shape} does not match networks "
-            f"({X.size}, {Y.size})")
-
-
-def _as_matrix(C) -> np.ndarray:
-    return C.matrix if isinstance(C, Coupling) else np.asarray(C, dtype=float)
 
 
 def _cross(A: np.ndarray, B: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -101,16 +90,11 @@ def _distortion(dis2: float, const: float) -> float:
 
 
 def distortion_matrix(X: MeasureNetwork, Y: MeasureNetwork, C) -> float:
-    """Square root of <p, X.^2 p> + <q, Y.^2 q> - 2 <C, X C Y^T> with p, q
-    the measures of X and Y; a negative radicand is clamped or raises as in
-    _distortion.
-
-    Any X.size x Y.size matrix C (or Coupling) is accepted. The identity
-    puts p and q in place of C's row and column sums, so the value is the
-    distortion of C only when C is a coupling of (mu_X, mu_Y), which is not
-    checked here."""
-    C = _as_matrix(C)
-    _check_shapes(X, Y, C)
+    """Distortion of C, a Coupling or a matrix checked to couple the
+    measures p, q of X and Y: the square root of
+    <p, X.^2 p> + <q, Y.^2 q> - 2 <C, X C Y^T>; a negative radicand is
+    clamped or raises as in _distortion."""
+    C = _coupling_of(C, X.mu, Y.mu).matrix
     return _distortion(*_objective(X, Y, C))
 
 
@@ -126,9 +110,7 @@ def random_vertex(p: np.ndarray, q: np.ndarray, rng: np.random.Generator) -> np.
 def _initial_couplings(X, Y, params: GwParams) -> list[np.ndarray]:
     p, q = X.mu, Y.mu
     if params.given is not None:
-        # a C-order copy, as products round by layout
-        given = np.array(params.given, dtype=float, order="C")
-        return [Coupling._adopt(given, p, q).matrix]
+        return [_coupling_of(params.given, p, q).matrix]
     starts = [np.outer(p, q)]
     if params.restarts:
         rng = np.random.default_rng(params.rng_seed)

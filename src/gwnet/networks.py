@@ -23,11 +23,13 @@ class GwnetError(ValueError):
 
 
 def check_count(value, name: str, least: int) -> int:
-    """value as an int of at least `least`; floats, NaN and strings fail."""
+    """value as an int of at least `least`; a bool, float or string fails."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise GwnetError(f"{name} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or isinstance(value, bool):    # operator.index(True) is 1
+        raise GwnetError(f"{name} must be an integer, got {value!r}")
     if n < least:
         raise GwnetError(f"{name} must be at least {least}, got {n}")
     return n
@@ -145,6 +147,18 @@ class Coupling:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
+
+
+def _coupling_of(C, p: np.ndarray, q: np.ndarray) -> Coupling:
+    """C, a Coupling or a matrix, as a Coupling of the read-only measures
+    (p, q): a Coupling of exactly (p, q) as it is, anything else copied in
+    C order, as products round by layout, and checked against p and q."""
+    if isinstance(C, Coupling):
+        if (np.array_equal(C.row_marginal, p)
+                and np.array_equal(C.col_marginal, q)):
+            return C
+        C = C.matrix
+    return Coupling._adopt(np.array(C, dtype=float, order="C"), p, q)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import Coupling, GwnetError, MeasureNetwork
+from .networks import GwnetError, MeasureNetwork
 from .alignment import AlignedPair, blow_up
 
 
@@ -36,13 +36,14 @@ class TangentVector:
 
 
 def log_map(X: MeasureNetwork, Y: MeasureNetwork,
-            coupling: Coupling) -> tuple[TangentVector, AlignedPair]:
+            coupling) -> tuple[TangentVector, AlignedPair]:
     """Lift Y to a tangent vector at X along a coupling of the two.
 
-    Blows the coupling up and returns f = omega_yhat - omega_xhat on the
-    expanded base, plus the aligned pair. The direction depends on which
-    (locally) optimal coupling is given, for instance the one solve_gw
-    lands on; the solver itself is deterministic for fixed parameters.
+    Blows the coupling up (a Coupling or a matrix, checked as in blow_up)
+    and returns f = omega_yhat - omega_xhat on the expanded base, plus the
+    aligned pair. The direction depends on which (locally) optimal coupling
+    is given, for instance the one solve_gw lands on; the solver itself is
+    deterministic for fixed parameters.
     """
     pair = blow_up(X, Y, coupling)
     base = pair.base_network()

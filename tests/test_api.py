@@ -153,6 +153,9 @@ def test_removed_names_stay_removed():
     # starts itself
     assert not hasattr(gwnet.frechet, "_warm_params")
     assert not hasattr(gwnet.alignment, "_expansion_matrix")
+    # networks._coupling_of is the one reading of a coupling argument
+    for name in ("_as_matrix", "_check_shapes"):
+        assert not hasattr(gwnet.gw, name), name
 
 
 def test_every_raise_in_the_library_raises_gwnet_error():

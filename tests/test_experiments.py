@@ -236,7 +236,8 @@ def test_support_sweep_rejects_bad_counts(sizes, trials):
 
 
 @pytest.mark.parametrize("sizes, n_seeds", [
-    ((3, 3), 0), ((3, 3), -1), ((3, 3), 1.5), ((2.5, 3), 1), ((3, 0), 1)])
+    ((3, 3), 0), ((3, 3), -1), ((3, 3), 1.5), ((2.5, 3), 1), ((3, 0), 1),
+    ((5,), 1), ((5, 5, 5), 1)])
 def test_asymmetry_sweep_rejects_bad_counts(sizes, n_seeds):
     with pytest.raises(GwnetError):
         asymmetry_sweep("diagonal", alphas=(0.5,), n_seeds=n_seeds,

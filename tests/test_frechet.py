@@ -436,6 +436,6 @@ def test_params_are_validated(two_swap):
     for count in (0, 2.5, float("nan")):
         with pytest.raises(GwnetError):
             FrechetParams(max_iters=count)
-    for size in (0, -1, 2.5, float("nan"), "3"):
+    for size in (0, -1, 2.5, float("nan"), "3", True):
         with pytest.raises(GwnetError):
             frechet_mean([two_swap], seed=size)

@@ -77,11 +77,16 @@ def test_dimension_mismatch_raises(one_node, two_swap):
 
 
 def test_negative_radicand_raises_a_typed_error(two_swap, monkeypatch):
-    # 10 I is not a coupling: the radicand is 1 - 2 * 200 = -399
-    with pytest.raises(GwnetError, match="squared distortion -399.0 < 0"):
+    # 10 I is not a coupling, so it is refused before any radicand
+    with pytest.raises(GwnetError, match="row sums do not match the row "
+                                         "marginal"):
         distortion_matrix(two_swap, two_swap, 10.0 * np.eye(2))
-    # solve_gw applies the same rule instead of reporting distance 0
+    # a coupling's radicand is below zero only by rounding, so a larger
+    # negative one is forced; solve_gw applies the same rule instead of
+    # reporting distance 0
     monkeypatch.setattr(gw, "_objective", lambda X, Y, C: (-1.0, 1.0))
+    with pytest.raises(GwnetError, match="squared distortion -1.0 < 0"):
+        distortion_matrix(two_swap, two_swap, np.diag(two_swap.mu))
     with pytest.raises(GwnetError, match="squared distortion -1.0 < 0"):
         solve_gw(two_swap, two_swap)
 
@@ -289,8 +294,9 @@ def test_params_validation():
     for count in (2.5, float("nan"), "3"):
         with pytest.raises(GwnetError):
             GwParams(max_outer_iters=count)
-    with pytest.raises(GwnetError):
-        GwParams(restarts=1.5)
+    for count in (1.5, True):
+        with pytest.raises(GwnetError, match="restarts must be an integer"):
+            GwParams(restarts=count)
 
 
 def test_params_with_an_array_start_compare_and_hash():

@@ -1,12 +1,16 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gwnet import (Coupling, GwnetError, MeasureNetwork, network_from_dict,
-                   network_to_dict, read_network, write_network)
-from conftest import measure_networks
+from gwnet import (Coupling, FrechetParams, GwParams, GwnetError,
+                   MeasureNetwork, blow_up, distortion_matrix,
+                   frechet_gradient, log_map, network_from_dict,
+                   network_to_dict, read_network, solve_gw, write_network)
+from gwnet.alignment import glue
+from conftest import measure_networks, random_network
 
 
 def test_example_networks_validate(one_node, two_swap):
@@ -221,3 +225,38 @@ def test_coupling_validation():
             Coupling(np.eye(2) * 0.5, p, np.array(bad))
         with pytest.raises(GwnetError, match="contain non-finite entries"):
             Coupling(np.eye(2) * 0.5, np.array(bad), q)
+
+
+# every entry point that takes a coupling C of X and Y, as call(X, Y, C)
+COUPLING_ENTRY_POINTS = {
+    "solve_gw given": lambda X, Y, C: solve_gw(X, Y, GwParams(given=C)),
+    "frechet_gradient warm": lambda X, Y, C: frechet_gradient(
+        [Y], X, warm=[C]),
+    "frechet_gradient compressed warm": lambda X, Y, C: frechet_gradient(
+        [Y], X, FrechetParams(compress="to_seed_size"), warm=[C]),
+    "distortion_matrix": distortion_matrix,
+    "blow_up": blow_up,
+    "log_map": log_map,
+    "glue": lambda X, Y, C: glue(X, [Y], [C]),
+}
+
+
+@pytest.mark.parametrize("call", COUPLING_ENTRY_POINTS.values(),
+                         ids=COUPLING_ENTRY_POINTS)
+def test_every_coupling_argument_is_a_coupling_or_a_matrix(call):
+    """A solved Coupling and its matrix give the same bits, and a matrix
+    or a Coupling that does not couple the two measures is refused with
+    the marginal it misses."""
+    rng = np.random.default_rng(29)
+    X = random_network(rng, 3, uniform_mu=False)
+    Y = random_network(rng, 4, uniform_mu=False)
+    C, _ = solve_gw(X, Y, GwParams(restarts=2))
+    assert pickle.dumps(call(X, Y, C)) == pickle.dumps(call(X, Y, C.matrix))
+    p = random_network(rng, 3, uniform_mu=False).mu
+    q = random_network(rng, 4, uniform_mu=False).mu
+    for bad, marginal in ((2 * C.matrix, "row"),
+                          (Coupling(np.outer(p, Y.mu), p, Y.mu), "row"),
+                          (Coupling(np.outer(X.mu, q), X.mu, q), "column")):
+        with pytest.raises(GwnetError, match=f"{marginal} sums do not match "
+                                             f"the {marginal} marginal"):
+            call(X, Y, bad)
