@@ -309,12 +309,9 @@ def _cmd_support_sweep(args) -> int:
 
 def _cmd_asym_sweep(args) -> int:
     sizes = _parse_numbers(args.sizes, int)
-    if len(sizes) == 1:
-        sizes = sizes * 2
-    if len(sizes) != 2:
-        raise GwnetError(f"--sizes takes one or two sizes: {args.sizes!r}")
     rows = asymmetry_sweep(args.mode, _parse_numbers(args.alphas),
-                           args.n_seeds, sizes=(sizes[0], sizes[1]),
+                           args.n_seeds,
+                           sizes=sizes * 2 if len(sizes) == 1 else sizes,
                            rng_seed=args.seed)
     out = args.out or "asym_sweep.csv"
     _write_rows(rows, out, ["mode", "alpha", "seed", "final_loss",

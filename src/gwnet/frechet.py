@@ -64,6 +64,8 @@ class FrechetParams:
         if self.compress not in ("none", "to_seed_size"):
             raise GwnetError(f"unknown compress {self.compress!r}")
         check_count(self.max_iters, "max_iters", 1)
+        if not isinstance(self.gw, GwParams):
+            raise GwnetError(f"gw must be a GwParams, got {self.gw!r}")
 
 
 def _check_warm(warm, X: MeasureNetwork, S: list[MeasureNetwork]) -> list:
@@ -133,8 +135,9 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
 
 @dataclass(frozen=True)
 class FrechetResult:
-    """The best iterate of a mean, with its loss. iterations counts the
-    steps taken, one less than the trace's rows, whatever the cap."""
+    """The last iterate of a mean, with its loss, the trace's last row.
+    iterations counts the steps taken, one less than the trace's rows,
+    whatever the cap."""
 
     network: MeasureNetwork
     loss: float
@@ -165,8 +168,11 @@ def frechet_mean(S: list[MeasureNetwork],
     with |g|^2_mu <= STATIONARY_TOL * loss, where that step would not move
     the base (for an uncompressed mean it would lower the loss by exactly
     |g|^2_mu / 16). Iterates 0..max_iters are evaluated at most. Returns
-    the best iterate seen; converged is True exactly when the last
-    evaluated iterate is stationary.
+    the last one, converged exactly when it is stationary. Its loss is the
+    trace's lowest, as no row rises beyond rounding and glue's slivers
+    below SUPPORT_REL_THRESHOLD: a step lands on the loss minimizer for the
+    current couplings, the next solves start from those (given), and
+    Frank-Wolfe never raises an objective.
     """
     if not S:
         raise GwnetError("empty collection")
@@ -174,23 +180,19 @@ def frechet_mean(S: list[MeasureNetwork],
     X = _resolve_seed(S, seed, params.gw.rng_seed)
     warm: tuple | None = None
     trace: list[tuple] = []
-    best: tuple[float, MeasureNetwork] | None = None
 
     for it in range(params.max_iters + 1):
         grad = frechet_gradient(S, X, params, warm=warm)
         loss, base, g = grad.loss, grad.base, grad.gradient
         warm = grad.couplings
         trace.append((it, loss, base.size))
-        if best is None or loss < best[0]:
-            best = (loss, base)
         # stationary: the full step would not move the base
         converged = float(base.mu @ (g * g) @ base.mu) <= STATIONARY_TOL * loss
         if converged or it == params.max_iters:
             break
         X = base.with_omega(base.omega - TAU * g)
-    return FrechetResult(network=best[1], loss=best[0], converged=converged,
-                         iterations=len(trace) - 1,
-                         trace=tuple(trace))
+    return FrechetResult(network=base, loss=loss, converged=converged,
+                         iterations=it, trace=tuple(trace))
 
 
 def compressed_average(X: MeasureNetwork, Y: MeasureNetwork,

@@ -9,7 +9,8 @@ coordinates. Slow on purpose; keep sizes tiny. Only a few helpers touch
 gwnet, for its public types and errors, so that tests can use them where
 the library's own results go: the naive geodesic, the couplings of a
 network with its expansion, the compressed target as a block average of
-an explicit blow-up, and the Frechet loss from cold distance solves.
+an explicit blow-up and its unweighted counterpart, and the Frechet loss
+from cold distance solves.
 """
 from __future__ import annotations
 
@@ -277,6 +278,22 @@ def compressed_target(X, Y, C) -> np.ndarray:
             total[i, k] += a * b * Y.omega[j, l]
             mass[i, k] += a * b
     return total / mass
+
+
+def plain_copy_average(X, Y, C) -> np.ndarray:
+    """Y's weights on the blow-up of the coupling C of X and Y, averaged
+    over the copy pairs of each pair of X nodes with equal weights, the
+    copies' masses ignored: compressed_target without its mass weights."""
+    C = np.asarray(C, dtype=float)
+    copies = [(i, j) for i in range(C.shape[0])
+              for j in range(C.shape[1]) if C[i, j] > 0]
+    total = np.zeros((X.size, X.size))
+    count = np.zeros((X.size, X.size))
+    for i, j in copies:
+        for k, l in copies:
+            total[i, k] += Y.omega[j, l]
+            count[i, k] += 1
+    return total / count
 
 
 def frechet_loss(S, Z, params=None) -> float:

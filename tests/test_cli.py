@@ -434,6 +434,16 @@ def test_asym_sweep_writes_csv(tmp_path):
     assert all(r["converged"] in ("True", "False") for r in rows)
 
 
+def test_asym_sweep_refuses_three_sizes_with_the_library_message(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "asym.csv"
+    assert main(["asym-sweep", "--sizes", "3,3,3", "--n-seeds", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sizes must hold two sizes, got [3, 3, 3]\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ file names
 
 @pytest.mark.parametrize("command", ["mean", "compress", "sbm-gen",

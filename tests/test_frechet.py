@@ -11,7 +11,8 @@ from gwnet import (Coupling, FrechetGradient, FrechetParams, GwParams,
 from gwnet.alignment import glue
 
 from conftest import diagonal_start, random_network, uniform_network
-from oracles import compressed_target, frechet_loss, inner_product
+from oracles import (compressed_target, frechet_loss, gw_objective,
+                     inner_product, plain_copy_average)
 
 
 def _example_pair(one_node, two_swap):
@@ -294,12 +295,13 @@ def test_mean_that_never_becomes_stationary_is_not_converged(monkeypatch):
     assert len(result.trace) == 11
 
 
-def test_mean_of_mixed_sizes_returns_the_best_iterate():
+def test_mean_of_mixed_sizes_returns_the_last_iterate():
     rng = np.random.default_rng(38)
     S = [random_network(rng, 3), random_network(rng, 4)]
     result = frechet_mean(S, FrechetParams(max_iters=30))
-    losses = [row[1] for row in result.trace]
-    assert result.loss == min(losses)
+    last = result.trace[-1]
+    assert result.loss == last[1]
+    assert result.network.size == last[2]
     assert result.iterations <= 30
     assert all(len(row) == 3 for row in result.trace)
 
@@ -333,6 +335,48 @@ def test_mean_of_read_back_members_is_the_same_mean(tmp_path):
         assert a.loss == b.loss, seed
         assert np.array_equal(a.network.omega, b.network.omega), seed
         assert np.array_equal(a.network.mu, b.network.mu), seed
+
+
+@st.composite
+def _mean_cases(draw):
+    """2-5 members of 1-8 nodes with standard normal weights, uniform or
+    Dirichlet masses; a seed that is the first member (None), an integer
+    size or a drawn network; and a cap of 1-10 mean steps. Every count is
+    drawn uniformly by the case's generator: the larger collections, where
+    cold re-solves rise, are as common as the small ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def network():
+        n = rng.integers(1, 9)
+        mu = rng.dirichlet(np.ones(n)) if rng.random() < 0.5 \
+            else np.full(n, 1.0 / n)
+        return MeasureNetwork(rng.standard_normal((n, n)), mu)
+
+    S = [network() for _ in range(rng.integers(2, 6))]
+    kind = rng.integers(3)
+    seed = None if kind == 0 else int(rng.integers(1, 9)) if kind == 1 \
+        else network()
+    return S, seed, int(rng.integers(1, 11))
+
+
+@pytest.mark.parametrize("compress", ["none", "to_seed_size"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_mean_cases())
+def test_property_mean_loss_never_rises(compress, case):
+    # each step lands on the loss minimizer for the current couplings, the
+    # next solves start from them, and Frank-Wolfe never raises an
+    # objective; a rise above 1e-9 of the row before, the scale of the
+    # slivers glue drops, fails
+    S, seed, cap = case
+    params = FrechetParams(max_iters=cap, compress=compress,
+                           gw=GwParams(max_outer_iters=30))
+    result = frechet_mean(S, params, seed)
+    losses = [row[1] for row in result.trace]
+    for it, (before, after) in enumerate(zip(losses, losses[1:]), 1):
+        assert after <= before + 1e-9 * before, (it, before, after)
+    assert result.loss == losses[-1]
+    assert result.network.size == result.trace[-1][2]
+
 
 # ------------------------------------------------------------- compression
 
@@ -419,6 +463,27 @@ def test_property_compressed_targets_are_weighted_block_averages(case):
                                       abs=1e-15)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_compressed_cases(), st.integers(0, 2**32 - 1), st.floats(-6.0, 0.0))
+def test_property_compressed_target_is_the_best_base_for_its_coupling(
+        case, seed, log_eps):
+    # with the coupling fixed, the squared distortion is a sum over base
+    # node pairs (i, k) of a quadratic in the base weight there, least at
+    # the mass-weighted copy average; squared distortions compare within
+    # the 1e-12 max(1, const) allowance that gw gives a radicand, as the
+    # square root of a rounding-level radicand is far larger
+    X, S, warm, cap = case
+    grad = frechet_gradient(S, X, _compressed(max_outer_iters=cap), warm)
+    rng = np.random.default_rng(seed)
+    for Y, C, T in zip(S, grad.couplings, grad.targets):
+        best = gw_objective(T, Y.omega, C)
+        allowance = 1e-12 * max(1.0, X.mu @ T ** 2 @ X.mu
+                                + Y.mu @ Y.omega ** 2 @ Y.mu)
+        moved = T + 10.0 ** log_eps * rng.standard_normal(T.shape)
+        for W in (moved, plain_copy_average(X, Y, C)):
+            assert best <= gw_objective(W, Y.omega, C) + allowance
+
+
 def test_compressed_mean_keeps_the_seed_size():
     rng = np.random.default_rng(41)
     S = [random_network(rng, 4), random_network(rng, 5)]
@@ -439,3 +504,6 @@ def test_params_are_validated(two_swap):
     for size in (0, -1, 2.5, float("nan"), "3", True):
         with pytest.raises(GwnetError):
             frechet_mean([two_swap], seed=size)
+    for gw in (None, {}, "default", {"max_outer_iters": 30}):
+        with pytest.raises(GwnetError, match="gw must be a GwParams"):
+            FrechetParams(gw=gw)
