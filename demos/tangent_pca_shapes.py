@@ -31,7 +31,7 @@ print("explained variance ratios:",
 
 # walking along the first component sweeps out the dominant deformation
 for s in (-0.2, 0.0, 0.2):
-    net = project_along_component(result, ds.base, 0, s)
+    net = project_along_component(result, 0, s)
     print(f"s={s:+.1f}: first row of weights", np.round(net.omega[0], 3))
 
 # ------------------------------------------------------------- features

@@ -8,8 +8,7 @@ tangent space, averages collections by gradient descent, extracts principal
 directions, and compresses large networks onto small seeds.
 """
 from .networks import (Coupling, GwnetError, MeasureNetwork, SolveReport,
-                       network_from_dict, network_to_dict, read_network,
-                       write_network)
+                       read_network, write_network)
 from .linear_ot import OtProblem, solve_linear_ot
 from .gw import (GwParams, distortion_matrix, gw_distance, random_vertex,
                  solve_gw)
@@ -37,8 +36,7 @@ __all__ = [
     "distortion_matrix", "evaluate", "exp_map", "featurize",
     "frechet_gradient", "frechet_mean", "generate_sbm",
     "geodesic_aligned", "gw_distance",
-    "log_map", "network_from_dict", "network_to_dict",
-    "project_along_component", "random_vertex",
+    "log_map", "project_along_component", "random_vertex",
     "read_network", "sbm_compression_experiment",
     "solve_gw", "solve_linear_ot", "support_size",
     "support_size_sweep", "tangent_pca",

@@ -23,26 +23,32 @@ from .tangent import exp_map, TangentVector
 
 @dataclass(frozen=True)
 class TangentDataset:
-    """Flattened tangent vectors of a collection at one common base."""
+    """Flattened tangent vectors of a collection at one common base, and
+    the weights of their inner product, computed from the base measure."""
 
     base: MeasureNetwork
     vectors: np.ndarray           # k x N^2, one row per input network
-    weights: np.ndarray           # length N^2, the products mu_i mu_j
 
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The products mu_i mu_j of the base measure, length N^2."""
+        return np.outer(self.base.mu, self.base.mu).ravel()
+
 
 @dataclass(frozen=True)
 class PcaResult:
-    """Weighted principal directions of a tangent dataset.
+    """Weighted principal directions of a tangent dataset at its base.
 
     Components have unit norm and are pairwise orthogonal in the weighted
     inner product. Ratios are the explained variance fractions, descending;
     they sum to 1 over the full rank. Empty when the data had no variance.
     """
 
+    base: MeasureNetwork          # the dataset's base, of N nodes
     mean: np.ndarray              # length N^2
     components: np.ndarray        # num_components x N^2
     explained_variance_ratios: np.ndarray
@@ -65,8 +71,7 @@ def vectorize_at_base(base: MeasureNetwork, nets: list[MeasureNetwork],
                             FrechetParams(gw=gw_params or GwParams()))
     final = grad.base
     rows = np.stack([(T - final.omega).ravel() for T in grad.targets])
-    weights = np.outer(final.mu, final.mu).ravel()
-    return TangentDataset(base=final, vectors=rows, weights=weights)
+    return TangentDataset(base=final, vectors=rows)
 
 
 def tangent_pca(ds: TangentDataset,
@@ -95,7 +100,7 @@ def tangent_pca(ds: TangentDataset,
     scale = float(np.max(np.abs(ds.vectors))) if ds.vectors.size else 0.0
     if total <= (k * scale * 1e-14) ** 2:
         empty = np.zeros((0, ds.vectors.shape[1]))
-        return PcaResult(mean=mean, components=empty,
+        return PcaResult(base=ds.base, mean=mean, components=empty,
                          explained_variance_ratios=np.zeros(0))
     rank = int(np.sum(evals > total * 1e-14))
     keep = rank if num_components is None else min(num_components, rank)
@@ -104,25 +109,22 @@ def tangent_pca(ds: TangentDataset,
         d = evecs[:, i] @ centered
         comps[i] = d / np.sqrt(evals[i])
     ratios = evals[:keep] / total
-    return PcaResult(mean=mean, components=comps,
+    return PcaResult(base=ds.base, mean=mean, components=comps,
                      explained_variance_ratios=ratios)
 
 
-def project_along_component(result: PcaResult, base: MeasureNetwork,
-                            component_index: int, s: float) -> MeasureNetwork:
+def project_along_component(result: PcaResult, component_index: int,
+                            s: float) -> MeasureNetwork:
     """Network at signed step s along one principal direction from the
-    dataset mean."""
-    if not 0 <= component_index < result.num_components:
-        raise GwnetError(f"component {component_index} out of range "
+    dataset mean, on the result's base. The index must be an integer in
+    range; anything else raises GwnetError."""
+    i = check_count(component_index, "component")
+    if not 0 <= i < result.num_components:
+        raise GwnetError(f"component {i} out of range "
                          f"(have {result.num_components})")
-    n = base.size
-    if result.mean.size != n * n:
-        raise GwnetError(
-            f"base has {n} nodes, but the dataset rows have "
-            f"{result.mean.size} entries, not {n * n}")
-    vec = result.mean + s * result.components[component_index]
-    v = TangentVector(base, vec.reshape(n, n))
-    return exp_map(v)
+    n = result.base.size
+    vec = result.mean + s * result.components[i]
+    return exp_map(TangentVector(result.base, vec.reshape(n, n)))
 
 
 def featurize(ds: TangentDataset) -> np.ndarray:

@@ -217,7 +217,7 @@ def _cmd_pca(args) -> int:
         fh.write(json.dumps(payload) + "\n")
     for ci in range(result.num_components):
         for s, step in zip(grid, steps):
-            net = project_along_component(result, ds.base, ci, s)
+            net = project_along_component(result, ci, s)
             name = out.with_name(f"{out.stem}_c{ci}_{step}")
             write_network(net, name)
     ratios = ", ".join(f"{r:.4f}"

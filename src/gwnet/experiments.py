@@ -47,10 +47,12 @@ class SbmSpec:
             raise GwnetError(f"means must be {B}x{B}, got {means.shape}")
         if not np.isfinite(means).all():
             raise GwnetError("means must be finite")
-        # written so that NaN fails too
-        if not 0 <= self.variance < np.inf:
+        # a bool is no variance; the range test is written so NaN fails too
+        v = self.variance
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not 0 <= v < np.inf):
             raise GwnetError(
-                f"variance must be finite and nonnegative, got {self.variance}")
+                f"variance must be a finite nonnegative real, got {v!r}")
         check_count(self.rng_seed, "rng_seed", 0)
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "means", means)

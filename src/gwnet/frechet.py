@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .networks import GwnetError, MeasureNetwork, _coupling_of, check_count
+from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams, solve_gw
 from .alignment import aligned_distance, glue
 
@@ -68,18 +68,6 @@ class FrechetParams:
             raise GwnetError(f"gw must be a GwParams, got {self.gw!r}")
 
 
-def _check_warm(warm, X: MeasureNetwork, S: list[MeasureNetwork]) -> list:
-    """One Coupling from X to each member, from the warm starts (each a
-    Coupling or a matrix, checked against the measures), or all None."""
-    if warm is None:
-        return [None] * len(S)
-    shapes = [np.shape(C) for C in warm]
-    if shapes != [(X.size, Y.size) for Y in S]:
-        raise GwnetError(
-            f"warm start shapes {shapes} do not match the members")
-    return [_coupling_of(C, X.mu, Y.mu) for C, Y in zip(warm, S)]
-
-
 @dataclass(frozen=True)
 class FrechetGradient:
     gradient: np.ndarray          # on the common base
@@ -95,8 +83,9 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
     """Gradient of the mean squared distance to S at X, from one alignment
     of every member to X.
 
-    Each member is solved against X once, from its warm start if given (one
-    coupling from X to each member). Uncompressed, the couplings are glued
+    Each member is solved against X once, from its warm start if given: one
+    per member, each passed to solve_gw as GwParams.given, which checks that
+    it couples X and the member. Uncompressed, the couplings are glued
     into one blow-up of X, the returned base, on which each of them is
     diagonal; targets are the members' aligned weights there, couplings
     their diagonal couplings from that base, and the loss the mean squared
@@ -111,9 +100,12 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
     if not S:
         raise GwnetError("empty collection")
     params = params or FrechetParams()
+    starts = [None] * len(S) if warm is None else list(warm)
+    if len(starts) != len(S):
+        raise GwnetError(f"got {len(starts)} warm starts for {len(S)} members")
     solved = [solve_gw(X, Y, params.gw if start is None
                        else replace(params.gw, given=start))
-              for Y, start in zip(S, _check_warm(warm, X, S))]
+              for Y, start in zip(S, starts)]
     if params.compress == "to_seed_size":
         base, couplings = X, [C.matrix for C, _ in solved]
         mass = np.outer(X.mu, X.mu)

@@ -22,15 +22,16 @@ class GwnetError(ValueError):
     computation. Its message names the argument or step at fault."""
 
 
-def check_count(value, name: str, least: int) -> int:
-    """value as an int of at least `least`; a bool, float or string fails."""
+def check_count(value, name: str, least: int | None = None) -> int:
+    """value as an int of at least `least` (any int when None); a bool,
+    float or string fails."""
     try:
         n = operator.index(value)
     except TypeError:
         n = None
     if n is None or isinstance(value, bool):    # operator.index(True) is 1
         raise GwnetError(f"{name} must be an integer, got {value!r}")
-    if n < least:
+    if least is not None and n < least:
         raise GwnetError(f"{name} must be at least {least}, got {n}")
     return n
 
@@ -187,28 +188,14 @@ def _format_for(path) -> str:
     return "csv" if str(path).endswith(".csv") else "json"
 
 
-def network_to_dict(net: MeasureNetwork) -> dict:
-    return {"omega": net.omega.tolist(), "mu": net.mu.tolist()}
-
-
-def network_from_dict(d: dict) -> MeasureNetwork:
-    if not isinstance(d, dict) or "omega" not in d or "mu" not in d:
-        raise GwnetError("network object needs 'omega' and 'mu' fields")
-    try:
-        omega = np.array(d["omega"], dtype=float)
-        mu = np.array(d["mu"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise GwnetError(f"non-numeric network data: {exc}") from exc
-    return MeasureNetwork(omega, mu)
-
-
 def write_network(net: MeasureNetwork, path) -> None:
     """Write a network: csv when the path ends in ".csv", else json."""
     if _format_for(path) == "json":
         # json.dumps runs the C encoder; json.dump writes the same bytes
         # through the pure-Python one
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(network_to_dict(net)) + "\n")
+            fh.write(json.dumps({"omega": net.omega.tolist(),
+                                 "mu": net.mu.tolist()}) + "\n")
     else:
         # repr of a python float round-trips exactly
         lines = ["mu," + ",".join(repr(float(x)) for x in net.mu)]
@@ -231,7 +218,14 @@ def read_network(path) -> MeasureNetwork:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GwnetError(f"invalid json: {exc}") from exc
-        return network_from_dict(d)
+        if not isinstance(d, dict) or "omega" not in d or "mu" not in d:
+            raise GwnetError("network object needs 'omega' and 'mu' fields")
+        try:
+            omega = np.array(d["omega"], dtype=float)
+            mu = np.array(d["mu"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise GwnetError(f"non-numeric network data: {exc}") from exc
+        return MeasureNetwork(omega, mu)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("mu,"):
         raise GwnetError("csv network must start with a 'mu,...' line")

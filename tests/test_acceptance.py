@@ -232,14 +232,13 @@ def test_weighted_pca_against_dense_oracle():
 
     direction = rng.standard_normal(9)
     coeffs = np.array([-1.0, -0.4, 0.3, 1.1])
-    ds1 = TangentDataset(base=base, vectors=np.outer(coeffs, direction),
-                         weights=weights)
+    ds1 = TangentDataset(base=base, vectors=np.outer(coeffs, direction))
     r1 = tangent_pca(ds1)
     first_gap = abs(r1.explained_variance_ratios[0] - 1.0)
     rank_one_ok = r1.num_components == 1 and first_gap <= 1e-9
 
     rows = 0.3 * rng.standard_normal((5, 9))
-    ds2 = TangentDataset(base=base, vectors=rows, weights=weights)
+    ds2 = TangentDataset(base=base, vectors=rows)
     r2 = tangent_pca(ds2)
     _, comps, ratios = dense_weighted_pca(rows, weights)
     comp_gap = 0.0

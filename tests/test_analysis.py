@@ -123,7 +123,7 @@ def test_projection_at_zero_is_the_mean_shape():
     A, nets = _aligned_family(rng, 3, 4)
     ds = vectorize_at_base(A, nets, diagonal_start(A))
     result = tangent_pca(ds)
-    net = project_along_component(result, ds.base, 0, 0.0)
+    net = project_along_component(result, 0, 0.0)
     expect = ds.base.omega + result.mean.reshape(3, 3)
     assert np.allclose(net.omega, expect, atol=1e-12)
 
@@ -133,8 +133,8 @@ def test_projection_moves_linearly_along_the_component():
     A, nets = _aligned_family(rng, 3, 4)
     ds = vectorize_at_base(A, nets, diagonal_start(A))
     result = tangent_pca(ds)
-    plus = project_along_component(result, ds.base, 0, 1.0)
-    minus = project_along_component(result, ds.base, 0, -1.0)
+    plus = project_along_component(result, 0, 1.0)
+    minus = project_along_component(result, 0, -1.0)
     diff = (plus.omega - minus.omega).ravel()
     assert np.allclose(diff, 2.0 * result.components[0], atol=1e-12)
 
@@ -145,22 +145,12 @@ def test_projection_checks_the_component_index():
     ds = vectorize_at_base(A, nets, diagonal_start(A))
     result = tangent_pca(ds)
     with pytest.raises(GwnetError, match="out of range"):
-        project_along_component(result, ds.base, result.num_components, 0.5)
+        project_along_component(result, result.num_components, 0.5)
     with pytest.raises(GwnetError, match="component -1 out of range"):
-        project_along_component(result, ds.base, -1, 0.5)
-
-
-def test_projection_checks_the_base_size():
-    rng = np.random.default_rng(60)
-    A, nets = _aligned_family(rng, 3, 4)
-    ds = vectorize_at_base(A, nets, diagonal_start(A))
-    result = tangent_pca(ds)
-    # rows of 9 entries against a 6-node base, whose 36 entries they
-    # would have to fill
-    with pytest.raises(GwnetError,
-                       match="base has 6 nodes, but the dataset rows have "
-                             "9 entries, not 36"):
-        project_along_component(result, random_network(rng, 6), 0, 0.5)
+        project_along_component(result, -1, 0.5)
+    for index in (1.5, True):
+        with pytest.raises(GwnetError, match="component must be an integer"):
+            project_along_component(result, index, 0.5)
 
 
 # ---------------------------------------------------------------- features

@@ -129,6 +129,19 @@ def test_removed_names_stay_removed():
     assert not hasattr(gwnet, "northwest_corner")
     assert "northwest_corner" not in gwnet.__all__
     assert not hasattr(gwnet.gw, "northwest_corner")
+    # one home for each fact: the file functions alone hold a network's
+    # json form, solve_gw alone reads a warm start, a PCA result carries
+    # its base, and a dataset's weights come from its base measure
+    for name in ("network_to_dict", "network_from_dict"):
+        assert not hasattr(gwnet, name), name
+        assert name not in gwnet.__all__, name
+        assert not hasattr(gwnet.networks, name), name
+    assert not hasattr(gwnet.frechet, "_check_warm")
+    assert list(inspect.signature(
+        gwnet.project_along_component).parameters) == [
+            "result", "component_index", "s"]
+    assert "weights" not in [f.name for f in fields(gwnet.TangentDataset)]
+    assert "base" in [f.name for f in fields(gwnet.PcaResult)]
     # the mean's gradient is a plain matrix on FrechetGradient.base
     assert not hasattr(gwnet.frechet, "TangentVector")
     for module in (gwnet.alignment, gwnet.tangent):

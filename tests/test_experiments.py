@@ -30,6 +30,10 @@ def test_spec_validation():
         SbmSpec(block_sizes=(2,), means=[[1.0]], variance=float("nan"))
     with pytest.raises(GwnetError, match="variance"):
         SbmSpec(block_sizes=(2,), means=[[1.0]], variance=float("inf"))
+    for bad in ("1", None, True):
+        with pytest.raises(GwnetError, match="variance must be a finite "
+                                             "nonnegative real"):
+            SbmSpec(block_sizes=(2,), means=[[1.0]], variance=bad)
     for bad in (float("inf"), -float("inf"), float("nan")):
         with pytest.raises(GwnetError, match="means"):
             SbmSpec(block_sizes=(2, 2), means=[[bad, 1.0], [1.0, 1.0]])

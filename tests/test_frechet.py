@@ -115,10 +115,13 @@ def test_warm_starts_must_match_the_members(compress):
     assert len(grad.couplings) == 2
     # rows to fit the base once the first member has expanded it
     grown = frechet_gradient(S[:1], X, warm=[product]).base.size
-    for warm in ([product], [product] * 3, [product, product[:3]],
+    for warm, count in (([product], 1), ([product] * 3, 3)):
+        with pytest.raises(GwnetError, match=f"got {count} warm starts for "
+                                             "2 members"):
+            frechet_gradient(S, X, params, warm=warm)
+    for warm in ([product, product[:3]],
                  [product, np.full((grown, 3), 1 / (3 * grown))]):
-        with pytest.raises(GwnetError, match="warm start shapes .* do not "
-                                             "match the members"):
+        with pytest.raises(GwnetError, match="does not match marginals"):
             frechet_gradient(S, X, params, warm=warm)
 
 

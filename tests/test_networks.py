@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from gwnet import (Coupling, FrechetParams, GwParams, GwnetError,
                    MeasureNetwork, blow_up, distortion_matrix,
-                   frechet_gradient, log_map, network_from_dict,
-                   network_to_dict, read_network, solve_gw, write_network)
+                   frechet_gradient, log_map, read_network, solve_gw,
+                   write_network)
 from gwnet.alignment import glue
 from conftest import measure_networks, random_network
 
@@ -80,9 +80,14 @@ def test_with_omega_keeps_measure(two_swap):
     assert np.array_equal(net.mu, two_swap.mu)
 
 
-def test_dict_round_trip(two_swap):
-    d = network_to_dict(two_swap)
-    back = network_from_dict(d)
+def test_dict_round_trip(tmp_path, two_swap):
+    # a json file holds one object of two nested lists, and the network
+    # rebuilds from them
+    path = tmp_path / "n.json"
+    write_network(two_swap, path)
+    d = json.loads(path.read_text())
+    assert d == {"omega": two_swap.omega.tolist(), "mu": two_swap.mu.tolist()}
+    back = MeasureNetwork(d["omega"], d["mu"])
     assert np.array_equal(back.omega, two_swap.omega)
     assert np.array_equal(back.mu, two_swap.mu)
 
@@ -102,7 +107,7 @@ def test_json_bytes_are_what_json_dump_writes(tmp_path):
     path = tmp_path / "net.json"
     write_network(net, path)
     with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh)
+        json.dump({"omega": net.omega.tolist(), "mu": net.mu.tolist()}, fh)
         fh.write("\n")
     assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
 
@@ -144,7 +149,9 @@ def test_a_labels_key_is_ignored_on_read(labels, tmp_path):
     net = read_network(path)
     assert np.array_equal(net.omega, d["omega"])
     assert np.array_equal(net.mu, d["mu"])
-    assert network_to_dict(net) == {"omega": d["omega"], "mu": d["mu"]}
+    write_network(net, tmp_path / "back.json")
+    assert json.loads((tmp_path / "back.json").read_text()) == {
+        "omega": d["omega"], "mu": d["mu"]}
 
 
 def test_file_name_chooses_format(tmp_path, two_swap):
@@ -156,7 +163,8 @@ def test_file_name_chooses_format(tmp_path, two_swap):
         if fmt == "csv":
             assert text.startswith("mu,")
         else:
-            assert json.loads(text) == network_to_dict(two_swap)
+            assert json.loads(text) == {"omega": two_swap.omega.tolist(),
+                                        "mu": two_swap.mu.tolist()}
         back = read_network(path)
         assert np.array_equal(back.omega, two_swap.omega)
         assert np.array_equal(back.mu, two_swap.mu)
