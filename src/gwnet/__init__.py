@@ -12,14 +12,13 @@ from .networks import (Coupling, GwnetError, MeasureNetwork, SolveReport,
 from .linear_ot import OtProblem, solve_linear_ot
 from .gw import (GwParams, distortion_matrix, gw_distance, random_vertex,
                  solve_gw)
-from .alignment import AlignedPair, aligned_distance, blow_up, support_size
+from .alignment import AlignedPair, aligned_distance, blow_up
 from .geodesics import GeodesicRep, evaluate, geodesic_aligned
 from .tangent import TangentVector, exp_map, log_map
 from .frechet import (FrechetGradient, FrechetParams, FrechetResult,
                       compressed_average, frechet_gradient, frechet_mean)
-from .analysis import (PcaResult, TangentDataset, featurize,
-                       project_along_component, tangent_pca,
-                       vectorize_at_base)
+from .analysis import (PcaResult, featurize, project_along_component,
+                       tangent_pca, vectorize_at_base)
 from .experiments import (SbmReport, SbmRun, SbmSpec, asymmetry_sweep,
                           default_sbm_spec, generate_sbm,
                           sbm_compression_experiment, support_size_sweep)
@@ -30,7 +29,7 @@ __all__ = [
     "AlignedPair", "Coupling", "FrechetGradient", "FrechetParams",
     "FrechetResult", "GeodesicRep", "GwParams", "GwnetError",
     "MeasureNetwork", "OtProblem", "PcaResult", "SbmReport", "SbmRun",
-    "SbmSpec", "SolveReport", "TangentDataset", "TangentVector",
+    "SbmSpec", "SolveReport", "TangentVector",
     "aligned_distance", "asymmetry_sweep", "blow_up",
     "compressed_average", "default_sbm_spec",
     "distortion_matrix", "evaluate", "exp_map", "featurize",
@@ -38,7 +37,7 @@ __all__ = [
     "geodesic_aligned", "gw_distance",
     "log_map", "project_along_component", "random_vertex",
     "read_network", "sbm_compression_experiment",
-    "solve_gw", "solve_linear_ot", "support_size",
+    "solve_gw", "solve_linear_ot",
     "support_size_sweep", "tangent_pca",
     "vectorize_at_base", "write_network",
 ]

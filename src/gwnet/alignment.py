@@ -10,10 +10,9 @@ tangent vectors and means are built on.
 
 This module alone decides which entries form the support (_support_mask)
 and how matrices move between a network and its expansion (the node maps
-of AlignedPair): support_size(C) is always the node count blow_up makes
-from C. glue blows X up once for several couplings, into the common
-refinement of their blow-ups, on which every member's coupling is
-diagonal.
+of AlignedPair): the support of C is the node count blow_up(X, Y, C).size.
+glue blows X up once for several couplings, into the common refinement of
+their blow-ups, on which every member's coupling is diagonal.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import Coupling, MeasureNetwork, _coupling_of
+from .networks import MeasureNetwork, _coupling_of
 
 # entries below this fraction of the largest one are treated as zeros:
 # Frank-Wolfe steps leave dust that must not spawn spurious node copies
@@ -38,12 +37,6 @@ def _support_mask(x: np.ndarray) -> np.ndarray:
     for j in np.flatnonzero(~mask.any(axis=0)):
         mask[int(np.argmax(x[:, j])), j] = True
     return mask
-
-
-def support_size(C) -> int:
-    """Support size of C, a Coupling or a matrix: the size of its blow-up."""
-    mat = C.matrix if isinstance(C, Coupling) else np.asarray(C, dtype=float)
-    return int(_support_mask(mat).sum())
 
 
 @dataclass(frozen=True)
@@ -100,9 +93,9 @@ def blow_up(X: MeasureNetwork, Y: MeasureNetwork, C) -> AlignedPair:
 
     C, a Coupling or a matrix, must couple (mu_X, mu_Y), which is checked.
     Masses are renormalized per source row so that the copies of each X
-    node reproduce its measure exactly. The expansion has support_size(C)
-    nodes: at most n + m - 1 on a vertex coupling and up to n * m on an
-    interior one, which is not thinned first.
+    node reproduce its measure exactly. The expansion has one node per
+    support entry of C: at most n + m - 1 on a vertex coupling and up to
+    n * m on an interior one, which is not thinned first.
     """
     src, tgt, masses = _pieces(X, Y, C)
     return AlignedPair(omega_xhat=X.omega[np.ix_(src, src)],
@@ -130,9 +123,9 @@ def glue(X: MeasureNetwork, members: list[MeasureNetwork],
     them or of the row's end are dropped, so rounding leaves no slivers.
     Summed over each node's copies, member k's diagonal coupling is its
     blow-up's up to those dropped slivers, so each pair certifies C_k's
-    distortion. The base has at
-    most X.size + sum_k (support_size(C_k) - X.size) nodes and does not
-    depend on the order of the members.
+    distortion. The base has at most X.size + sum_k (blow_up(X, Y_k,
+    C_k).size - X.size) nodes and does not depend on the order of the
+    members.
     """
     cuts, targets = [], []
     for Y, C in zip(members, couplings):

@@ -1,13 +1,14 @@
-"""Vectorization of network collections at a common base, and principal
-component analysis in the tangent space.
+"""Principal component analysis in the tangent space at a common base.
 
-Every network is log-mapped onto one common blow-up of the base by
-frechet_gradient, the alignment step of the mean iteration; the flattened
-aligned differences form a data matrix whose natural inner product is
-weighted by the products mu_i mu_j of the base measure. PCA happens in
-that weighted geometry via the k x k Gram matrix of centered rows, which
-is cheap because collections are small while the flattened dimension is
-the squared base size.
+The data is a FrechetGradient: frechet_gradient, the alignment step of the
+mean iteration, log-maps every network onto one common blow-up of the
+base, and its rows (FrechetGradient.vectors) are the flattened aligned
+differences, whose natural inner product is weighted by the products
+mu_i mu_j of the base measure (FrechetGradient.weights). A mean keeps its
+last gradient, so tangent_pca(frechet_mean(S).gradient) is PCA at the
+mean. PCA happens in that weighted geometry via the k x k Gram matrix of
+centered rows, which is cheap because collections are small while the
+flattened dimension is the squared base size.
 """
 from __future__ import annotations
 
@@ -17,26 +18,8 @@ import numpy as np
 
 from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams
-from .frechet import FrechetParams, frechet_gradient
+from .frechet import FrechetGradient, FrechetParams, frechet_gradient
 from .tangent import exp_map, TangentVector
-
-
-@dataclass(frozen=True)
-class TangentDataset:
-    """Flattened tangent vectors of a collection at one common base, and
-    the weights of their inner product, computed from the base measure."""
-
-    base: MeasureNetwork
-    vectors: np.ndarray           # k x N^2, one row per input network
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The products mu_i mu_j of the base measure, length N^2."""
-        return np.outer(self.base.mu, self.base.mu).ravel()
 
 
 @dataclass(frozen=True)
@@ -59,24 +42,17 @@ class PcaResult:
 
 
 def vectorize_at_base(base: MeasureNetwork, nets: list[MeasureNetwork],
-                      gw_params: GwParams | None = None) -> TangentDataset:
-    """Log-map each network onto one common blow-up of the base and
-    flatten.
-
-    Rows are omega_target_k - omega_base on that common base, in row-major
-    order: the targets of frechet_gradient at the base, from cold solves,
-    or every member from gw_params.given when it is set.
-    """
-    grad = frechet_gradient(nets, base,
+                      gw_params: GwParams | None = None) -> FrechetGradient:
+    """frechet_gradient of nets at base, from cold solves, or every member
+    from gw_params.given when it is set: its rows are the members' aligned
+    differences from one common blow-up of the base."""
+    return frechet_gradient(nets, base,
                             FrechetParams(gw=gw_params or GwParams()))
-    final = grad.base
-    rows = np.stack([(T - final.omega).ravel() for T in grad.targets])
-    return TangentDataset(base=final, vectors=rows)
 
 
-def tangent_pca(ds: TangentDataset,
+def tangent_pca(ds: FrechetGradient,
                 num_components: int | None = None) -> PcaResult:
-    """PCA of the dataset rows in the weighted inner product.
+    """PCA of the rows of ds in the weighted inner product.
 
     Centers at the dataset mean row, eigendecomposes the k x k Gram matrix
     of centered rows, and lifts eigenvectors back to weighted-unit
@@ -84,27 +60,28 @@ def tangent_pca(ds: TangentDataset,
     components rather than an error. num_components caps how many are kept
     (None keeps all, 0 none); anything but a count >= 0 raises GwnetError.
     """
-    k = ds.count
+    vectors = ds.vectors
+    k = vectors.shape[0]
     if k < 2:
         raise GwnetError("need at least 2 networks for principal components")
     if num_components is not None:
         num_components = check_count(num_components, "num_components", 0)
-    mean = ds.vectors.mean(axis=0)
-    centered = ds.vectors - mean
+    mean = vectors.mean(axis=0)
+    centered = vectors - mean
     gram = (centered * ds.weights) @ centered.T
     evals, evecs = np.linalg.eigh(gram)
     order = np.argsort(evals)[::-1]
     evals = np.maximum(evals[order], 0.0)
     evecs = evecs[:, order]
     total = float(evals.sum())
-    scale = float(np.max(np.abs(ds.vectors))) if ds.vectors.size else 0.0
+    scale = float(np.max(np.abs(vectors))) if vectors.size else 0.0
     if total <= (k * scale * 1e-14) ** 2:
-        empty = np.zeros((0, ds.vectors.shape[1]))
+        empty = np.zeros((0, vectors.shape[1]))
         return PcaResult(base=ds.base, mean=mean, components=empty,
                          explained_variance_ratios=np.zeros(0))
     rank = int(np.sum(evals > total * 1e-14))
     keep = rank if num_components is None else min(num_components, rank)
-    comps = np.empty((keep, ds.vectors.shape[1]))
+    comps = np.empty((keep, vectors.shape[1]))
     for i in range(keep):
         d = evecs[:, i] @ centered
         comps[i] = d / np.sqrt(evals[i])
@@ -127,7 +104,7 @@ def project_along_component(result: PcaResult, component_index: int,
     return exp_map(TangentVector(result.base, vec.reshape(n, n)))
 
 
-def featurize(ds: TangentDataset) -> np.ndarray:
+def featurize(ds: FrechetGradient) -> np.ndarray:
     """Feature matrix for downstream learners.
 
     Rows are the tangent rows scaled entrywise by sqrt of the weights, so

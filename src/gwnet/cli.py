@@ -186,10 +186,10 @@ def _cmd_compress(args) -> int:
     return 0
 
 
-def _tangent_dataset(args):
-    """The named inputs, and their tangent dataset at --base (default: the
-    first input)."""
-    named = _load_inputs(args.inputs)
+def _tangent_dataset(args, outputs: tuple[Path, ...] = ()):
+    """The named inputs, less the command's outputs, and their tangent
+    dataset at --base (default: the first input)."""
+    named = _load_inputs(args.inputs, outputs)
     nets = [net for _, net in named]
     base = _read(args.base) if args.base else nets[0]
     return named, vectorize_at_base(base, nets, _gw_params(args))
@@ -235,12 +235,13 @@ def _cmd_featurize(args) -> int:
                               if len(row) >= 2)
         except UnicodeDecodeError as exc:
             raise GwnetError(f"{args.labels}: not utf-8 text: {exc}") from exc
-    named, ds = _tangent_dataset(args)
+    out = args.out or "features.csv"
+    # a directory that holds an earlier run's features still means its inputs
+    named, ds = _tangent_dataset(args, (Path(out),))
     feats = featurize(ds)
     headers = ["label"] + [f"f{i}" for i in range(feats.shape[1])]
     rows = [dict(zip(headers, [labels.get(name, name)] + row))
             for (name, _), row in zip(named, feats.tolist())]
-    out = args.out or "features.csv"
     _write_rows(rows, out, headers)
     print(f"wrote {out} ({feats.shape[0]} rows, {feats.shape[1]} features)")
     return 0

@@ -14,7 +14,7 @@ import numpy as np
 
 from .networks import GwnetError, MeasureNetwork, check_count
 from .gw import GwParams, solve_gw
-from .alignment import support_size
+from .alignment import blow_up
 from .frechet import (FrechetParams, compressed_average, frechet_mean)
 
 # B! relabelings are scored twice a run: 0.5 s at B = 9, 10 minutes at 12
@@ -204,7 +204,7 @@ def support_size_sweep(sizes, trials: int, rng_seed: int = 0) -> list[dict]:
             X = MeasureNetwork(rng.standard_normal((n, n)), mu)
             Y = MeasureNetwork(rng.standard_normal((n, n)), mu)
             coupling, _ = solve_gw(X, Y)
-            s = support_size(coupling)
+            s = blow_up(X, Y, coupling).size
             rows.append({"n": n, "trial": trial, "support_size": s,
                          "ratio": s / (2.0 * n)})
     return rows

@@ -13,7 +13,9 @@ mean iteration steps the base weights by -TAU g, which lands exactly on
 that mean. It stops at the first iterate where that step would not move
 the base, the one stop it reports as converged, or at its cap. Every solve
 is warm-started from the member's coupling of the previous iteration.
-Tangent PCA (analysis.vectorize_at_base) takes its data from the same step.
+A FrechetGradient is also the tangent dataset analysis.tangent_pca reads,
+and a mean keeps its last one: tangent_pca(frechet_mean(S).gradient) is PCA
+at the mean on the alignment the mean certified.
 
 The compressed variant keeps the base size fixed: member k's target is
 T_k = (C_k omega_k C_k^T) / (mu mu^T), entrywise, for its coupling C_k
@@ -70,11 +72,25 @@ class FrechetParams:
 
 @dataclass(frozen=True)
 class FrechetGradient:
+    """One alignment of a collection to a common base, and the tangent
+    dataset it makes there: one row per member, weighted by the base
+    measure."""
+
     gradient: np.ndarray          # on the common base
     base: MeasureNetwork
     targets: tuple
     loss: float                   # mean squared distance at the current couplings
     couplings: tuple
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Rows omega_target_k - omega_base, flattened in row-major order."""
+        return np.stack([(T - self.base.omega).ravel() for T in self.targets])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The products mu_i mu_j of the base measure, length N^2."""
+        return np.outer(self.base.mu, self.base.mu).ravel()
 
 
 def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
@@ -127,15 +143,22 @@ def frechet_gradient(S: list[MeasureNetwork], X: MeasureNetwork,
 
 @dataclass(frozen=True)
 class FrechetResult:
-    """The last iterate of a mean, with its loss, the trace's last row.
-    iterations counts the steps taken, one less than the trace's rows,
-    whatever the cap."""
+    """The last iterate of a mean: its gradient, whose base is the mean and
+    whose loss is the trace's last row. iterations counts the steps taken,
+    one less than the trace's rows, whatever the cap."""
 
-    network: MeasureNetwork
-    loss: float
+    gradient: FrechetGradient
     converged: bool
     iterations: int
     trace: tuple          # (iteration, loss, base_size) rows
+
+    @property
+    def network(self) -> MeasureNetwork:
+        return self.gradient.base
+
+    @property
+    def loss(self) -> float:
+        return self.gradient.loss
 
 
 def _resolve_seed(S, seed, rng_seed: int) -> MeasureNetwork:
@@ -183,8 +206,8 @@ def frechet_mean(S: list[MeasureNetwork],
         if converged or it == params.max_iters:
             break
         X = base.with_omega(base.omega - TAU * g)
-    return FrechetResult(network=base, loss=loss, converged=converged,
-                         iterations=it, trace=tuple(trace))
+    return FrechetResult(gradient=grad, converged=converged, iterations=it,
+                         trace=tuple(trace))
 
 
 def compressed_average(X: MeasureNetwork, Y: MeasureNetwork,

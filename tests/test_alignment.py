@@ -5,8 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from gwnet import (AlignedPair, Coupling, FrechetParams, GwParams, GwnetError,
                    MeasureNetwork, aligned_distance, blow_up,
                    distortion_matrix, frechet_gradient, geodesic_aligned,
-                   gw_distance, log_map, random_vertex, solve_gw,
-                   support_size)
+                   gw_distance, log_map, random_vertex, solve_gw)
 from gwnet.alignment import _support_mask, glue
 from conftest import random_network
 from oracles import (compressed_target, expansion_coupling_source,
@@ -27,12 +26,21 @@ def test_binarize_drops_numerical_dust():
     assert np.array_equal(_support_mask(C), np.eye(2))
 
 
-def test_support_size_counts_entries():
-    assert support_size(np.array([[0.5, 0.5]])) == 2
-    assert support_size(np.diag([0.25, 0.25, 0.5])) == 3
-    C = Coupling(np.array([[0.5, 0.5]]), np.array([1.0]),
-                 np.array([0.5, 0.5]))
-    assert support_size(C) == 2
+def test_support_size_counts_entries(one_node, two_swap):
+    # the support of a coupling is the node count of its blow-up
+    assert blow_up(one_node, two_swap, np.array([[0.5, 0.5]])).size == 2
+    three = MeasureNetwork(np.eye(3), np.array([0.25, 0.25, 0.5]))
+    assert blow_up(three, three, np.diag(three.mu)).size == 3
+    C = Coupling(np.array([[0.5, 0.5]]), one_node.mu, two_swap.mu)
+    assert blow_up(one_node, two_swap, C).size == 2
+
+
+def test_support_is_counted_only_for_a_coupling(two_swap):
+    # negative, non-finite and misshapen matrices are refused, not counted
+    for bad in (-np.eye(2), np.full((2, 2), np.nan),
+                np.array([[1.0, 2.0], [3.0, np.inf]]), np.ones(2)):
+        with pytest.raises(GwnetError):
+            blow_up(two_swap, two_swap, bad)
 
 
 # --------------------------------------------------------------- blow_up
@@ -173,7 +181,7 @@ _TWO_Y = MeasureNetwork(np.array([[1.0, 0.0], [0.0, -1.0]]), _TINY)
 def test_property_blow_up_keeps_support_marginals_and_distortion(case):
     X, Y, C, vertex = case
     pair = blow_up(X, Y, C)
-    assert pair.size == support_size(C)
+    assert pair.size == int(_support_mask(C.matrix).sum())
     row_mass = np.bincount(pair.source_index, weights=pair.mu_hat,
                            minlength=X.size)
     assert np.abs(row_mass - X.mu).max() <= 4 * np.finfo(float).eps
@@ -221,7 +229,7 @@ def test_align_solves_and_expands():
     pair = geodesic_aligned(X, Y, params).pair
     C, report = solve_gw(X, Y, params)
     assert isinstance(pair, AlignedPair)
-    assert pair.size == support_size(C)
+    assert pair.size == blow_up(X, Y, C).size
     assert report.converged
     assert aligned_distance(pair) == pytest.approx(
         report.gw_distance, rel=1e-9, abs=1e-12)

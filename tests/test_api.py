@@ -44,8 +44,6 @@ def test_removed_names_stay_removed():
     assert "to_vertex_coupling" not in gwnet.__all__
     assert not hasattr(gwnet.alignment, "to_vertex_coupling")
     assert "init_coupling" not in [f.name for f in fields(gwnet.GwParams)]
-    assert "threshold" not in inspect.signature(
-        gwnet.support_size).parameters
     assert "gw_params" not in inspect.signature(
         gwnet.support_size_sweep).parameters
     assert not hasattr(gwnet, "validate_network")
@@ -140,8 +138,17 @@ def test_removed_names_stay_removed():
     assert list(inspect.signature(
         gwnet.project_along_component).parameters) == [
             "result", "component_index", "s"]
-    assert "weights" not in [f.name for f in fields(gwnet.TangentDataset)]
     assert "base" in [f.name for f in fields(gwnet.PcaResult)]
+    # one record from the mean to PCA: the tangent dataset is the
+    # FrechetGradient, which a mean keeps; a coupling's support is the size
+    # of its checked blow-up
+    for module, name in ((gwnet.analysis, "TangentDataset"),
+                         (gwnet.alignment, "support_size")):
+        assert not hasattr(gwnet, name), name
+        assert name not in gwnet.__all__, name
+        assert not hasattr(module, name), name
+    assert [f.name for f in fields(gwnet.FrechetResult)] == [
+        "gradient", "converged", "iterations", "trace"]
     # the mean's gradient is a plain matrix on FrechetGradient.base
     assert not hasattr(gwnet.frechet, "TangentVector")
     for module in (gwnet.alignment, gwnet.tangent):

@@ -546,6 +546,16 @@ def test_mean_into_its_input_directory_runs_again(example_files, tmp_path,
     assert capsys.readouterr().out.startswith(f"loss {loss:.9f} ")
 
 
+def test_featurize_into_its_input_directory_runs_again(family_dir):
+    indir, _ = family_dir
+    out = indir / "f.csv"
+    written = []
+    for _ in range(2):
+        assert main(["featurize", str(indir), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0]
+
+
 @pytest.mark.parametrize("command", ["mean", "pca"])
 def test_an_empty_input_directory_fails_cleanly(command, tmp_path, capsys):
     indir = tmp_path / "in"

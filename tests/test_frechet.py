@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 import gwnet.frechet
 from gwnet import (Coupling, FrechetGradient, FrechetParams, GwParams,
-                   GwnetError, MeasureNetwork, TangentVector,
+                   GwnetError, MeasureNetwork, TangentVector, blow_up,
                    compressed_average, distortion_matrix, frechet_gradient,
                    frechet_mean, gw_distance, random_vertex, read_network,
-                   solve_gw, support_size, vectorize_at_base, write_network)
+                   solve_gw, tangent_pca, vectorize_at_base, write_network)
 from gwnet.alignment import glue
 
 from conftest import diagonal_start, random_network, uniform_network
@@ -139,9 +139,10 @@ def test_warm_starts_must_couple_the_measures(compress):
 
 # ------------------------------------------------------------- glued base
 
-def _size_bound(X, couplings):
+def _size_bound(X, S, couplings):
     """Nodes of the common refinement of the couplings' blow-ups, at most."""
-    return X.size + sum(support_size(C) - X.size for C in couplings)
+    return X.size + sum(blow_up(X, Y, C).size - X.size
+                        for Y, C in zip(S, couplings))
 
 
 def _distances(grad):
@@ -163,7 +164,7 @@ def test_a_constant_base_does_not_multiply():
     assert grad.base.size == 22
     assert vectorize_at_base(X, S).base.size == 22
     couplings = [solve_gw(X, Y, GwParams())[0] for Y in S]
-    assert grad.base.size <= _size_bound(X, couplings)
+    assert grad.base.size <= _size_bound(X, S, couplings)
 
 
 @st.composite
@@ -198,7 +199,7 @@ def test_property_glued_base_keeps_every_alignment(case):
     for Y, C in zip(S, grad.couplings):
         Coupling(C, grad.base.mu, Y.mu)
     couplings = [C for C, _ in solved]
-    assert grad.base.size <= _size_bound(X, couplings)
+    assert grad.base.size <= _size_bound(X, S, couplings)
     # the base is the glue of the members' own solves: X's weights on
     # copies of its nodes, whose masses sum to the node's
     pair = glue(X, S, couplings)[0]
@@ -379,6 +380,46 @@ def test_property_mean_loss_never_rises(compress, case):
         assert after <= before + 1e-9 * before, (it, before, after)
     assert result.loss == losses[-1]
     assert result.network.size == result.trace[-1][2]
+
+
+def _uncompressed_means(count=12):
+    """Seeded uncompressed means of 5 members with 5-8 nodes, uniform
+    measures and weights in [0, 1)."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        S = [MeasureNetwork(rng.random((n, n)), np.full(n, 1.0 / n))
+             for n in rng.integers(5, 9, size=5)]
+        yield seed, frechet_mean(S)
+
+
+def test_mean_keeps_the_dataset_its_loss_certifies():
+    # each row is a member's aligned difference from the mean, and half its
+    # weighted norm is the distance that alignment certifies
+    for seed, result in _uncompressed_means():
+        grad = result.gradient
+        assert grad.base is result.network and grad.loss == result.loss
+        assert grad.vectors.shape == (5, result.network.size ** 2)
+        halves2 = (grad.vectors ** 2) @ grad.weights / 4.0
+        assert float(np.mean(halves2)) == pytest.approx(
+            result.loss, rel=1e-13, abs=0), seed
+
+
+def test_a_converged_mean_is_the_mean_of_its_rows():
+    # stationary: |g|^2_mu <= STATIONARY_TOL * loss, and the mean row is -g/2
+    converged = 0
+    for seed, result in _uncompressed_means():
+        if not result.converged:
+            continue
+        converged += 1
+        grad = result.gradient
+        row = grad.vectors.mean(axis=0)
+        bound = gwnet.frechet.STATIONARY_TOL * result.loss / 4.0
+        assert float((row ** 2) @ grad.weights) <= bound, seed
+        # PCA at the mean centers on that row, on the mean's own alignment
+        pca = tangent_pca(grad)
+        assert pca.base is result.network
+        assert np.array_equal(pca.mean, row), seed
+    assert converged >= 10
 
 
 # ------------------------------------------------------------- compression
